@@ -1,7 +1,8 @@
 //! Micro-benchmark: the LP solver on repair-shaped programs
-//! (free variables, ≤ constraints, ℓ1 objective), plus a head-to-head of
-//! the dense flat-tableau and sparse revised simplex backends on the wide
-//! block-sparse shape the repair LPs actually have.
+//! (free variables, ≤ constraints, ℓ1 objective), a head-to-head of the
+//! dense flat-tableau and sparse revised simplex backends on the wide
+//! block-sparse shape, and the default (`Auto` → dual simplex) path against
+//! the dense tableau on tall programs like the Task 2 repair LPs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prdnn_lp::{ConstraintOp, LpBackend, LpProblem, PricingRule, SolveOptions, VarKind};
@@ -116,6 +117,24 @@ fn bench_lp(c: &mut Criterion) {
         for (name, backend, pricing) in CONTENDERS {
             group.bench_with_input(BenchmarkId::new(name, &label), &lp, |b, lp| {
                 b.iter(|| solve_with(lp, backend, pricing))
+            });
+        }
+    }
+    group.finish();
+
+    // The default repair path: `Auto` routes this tall ℓ1 program (free Δ,
+    // `≤` rows, m ≫ k, like the Task 2 LPs) to the dual simplex, timed
+    // against the dense tableau it replaced.
+    let mut group = c.benchmark_group("lp_repair_tall");
+    for &(vars, rows) in &[(40usize, 400usize), (60, 900)] {
+        let lp = repair_shaped_lp(vars, rows, 13);
+        let label = format!("{vars}v_{rows}c");
+        for (name, backend) in [
+            ("auto", LpBackend::Auto),
+            ("dense", LpBackend::DenseTableau),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, &label), &lp, |b, lp| {
+                b.iter(|| solve_with(lp, backend, PricingRule::Auto))
             });
         }
     }

@@ -249,8 +249,9 @@ mod tests {
     #[test]
     fn lp_backends_agree_on_classifier_repair() {
         // The same wide, block-sparse repair LP solved by the dense tableau
-        // oracle and the sparse revised simplex must yield repairs of the
-        // same (minimal) norm, and both must satisfy the spec exactly.
+        // oracle, the sparse revised simplex and the default dual simplex
+        // must yield repairs of the same (minimal) norm, and all must
+        // satisfy the spec exactly.
         let mut rng = StdRng::seed_from_u64(21);
         let net = prdnn_nn::Network::mlp(&[6, 18, 14, 4], Activation::Relu, &mut rng);
         let points: Vec<Vec<f64>> = (0..8)
@@ -262,6 +263,7 @@ mod tests {
         for backend in [
             prdnn_lp::LpBackend::DenseTableau,
             prdnn_lp::LpBackend::RevisedSparse,
+            prdnn_lp::LpBackend::Auto,
         ] {
             let config = RepairConfig {
                 lp_backend: backend,
@@ -273,12 +275,13 @@ mod tests {
             }
             outcomes.push(outcome.stats.delta_l1);
         }
-        assert!(
-            (outcomes[0] - outcomes[1]).abs() < 1e-6,
-            "minimal-repair norms disagree: dense {} vs revised {}",
-            outcomes[0],
-            outcomes[1]
-        );
+        for other in &outcomes[1..] {
+            assert!(
+                (outcomes[0] - other).abs() < 1e-6,
+                "minimal-repair norms disagree: dense {} vs {other} ({outcomes:?})",
+                outcomes[0],
+            );
+        }
     }
 
     #[test]

@@ -262,8 +262,8 @@ mod tests {
     #[test]
     fn lp_backends_agree_on_polytope_repair() {
         // Algorithm 2 feeds the vertex key points into the same repair LP;
-        // both simplex backends must find minimal repairs of equal norm and
-        // both repaired networks must satisfy the whole segment.
+        // every simplex backend must find minimal repairs of equal norm and
+        // every repaired network must satisfy the whole segment.
         let mut rng = StdRng::seed_from_u64(17);
         let net = prdnn_nn::Network::mlp(&[3, 10, 8, 2], Activation::Relu, &mut rng);
         let start = vec![-0.4, 0.3, 0.6];
@@ -277,6 +277,7 @@ mod tests {
         for backend in [
             prdnn_lp::LpBackend::DenseTableau,
             prdnn_lp::LpBackend::RevisedSparse,
+            prdnn_lp::LpBackend::Auto,
         ] {
             let config = RepairConfig {
                 lp_backend: backend,
@@ -298,12 +299,13 @@ mod tests {
             }
             norms.push(result.outcome.stats.delta_l1);
         }
-        assert!(
-            (norms[0] - norms[1]).abs() < 1e-6,
-            "minimal-repair norms disagree: dense {} vs revised {}",
-            norms[0],
-            norms[1]
-        );
+        for other in &norms[1..] {
+            assert!(
+                (norms[0] - other).abs() < 1e-6,
+                "minimal-repair norms disagree: dense {} vs {other} ({norms:?})",
+                norms[0],
+            );
+        }
     }
 
     #[test]

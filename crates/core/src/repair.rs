@@ -29,10 +29,14 @@ pub struct RepairConfig {
     /// Iteration limit handed to the simplex solver.
     pub max_lp_iterations: usize,
     /// Which simplex backend solves the repair LP.  The default (`Auto`)
-    /// routes the wide, block-sparse LPs this encoding produces to the
-    /// sparse revised simplex and small ones to the dense tableau.
+    /// solves every repair LP — ℓ1 or ℓ∞, with or without `param_bound` —
+    /// with the dual simplex started at `Δ = 0`, and re-solves on the
+    /// revised → dense path if its `Δ` fails the check against the LP's
+    /// rows.  `DenseTableau` and `RevisedSparse` pin a primal backend.
     pub lp_backend: LpBackend,
-    /// Entering-column pricing rule for the revised simplex backend.
+    /// Entering-column pricing rule for the revised simplex backend (an
+    /// explicit `RevisedSparse`, or the dual path's fallback; the dual
+    /// simplex itself has one rule).
     ///
     /// Precedence mirrors `threads`: an explicit `Dantzig`/`Devex` wins
     /// over the `PRDNN_LP_PRICING` environment variable (the bench
@@ -101,8 +105,10 @@ pub struct RepairStats {
     pub delta_l1: f64,
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
-    /// Simplex pivots the repair LP took (0 when the dense tableau
-    /// backend ran — it is uninstrumented).
+    /// Simplex pivots the repair LP took: the dual simplex's pivots and
+    /// bound flips on the default path (0 only when `Δ = 0` already
+    /// satisfies the spec), the revised backend's pivots, or 0 when an
+    /// explicit `DenseTableau` ran (it is uninstrumented).
     pub lp_pivots: u64,
     /// Basis refactorisations during the repair LP solve.
     pub lp_refactorizations: u64,
@@ -162,8 +168,8 @@ pub struct RepairProvenance {
     pub delta_l1: f64,
     /// ℓ∞ norm of the applied delta.
     pub delta_linf: f64,
-    /// Simplex pivots the repair LP took (0 for records published before
-    /// the counter existed, or when the uninstrumented dense backend ran).
+    /// Simplex pivots the repair LP took, as in [`RepairStats::lp_pivots`]
+    /// (also 0 for records published before the counter existed).
     pub lp_pivots: u64,
     /// Basis refactorisations during the repair LP solve.
     pub lp_refactorizations: u64,

@@ -7,20 +7,32 @@
 //!
 //! * [`LpProblem`] — a small modelling layer: free or non-negative variables,
 //!   `≤` / `≥` / `=` constraints, linear or norm-minimisation objectives.
-//! * [`solve`] — a two-phase simplex solve that returns an optimal
-//!   solution, or reports that the program is [infeasible](LpError::Infeasible)
-//!   (the paper's `⊥`: no single-layer repair exists) or unbounded.
+//! * [`solve`] — returns an optimal solution, or reports that the program
+//!   is [infeasible](LpError::Infeasible) (the paper's `⊥`: no single-layer
+//!   repair exists) or unbounded.
 //!
-//! Two backends implement the simplex method: a sparse *revised* simplex
-//! with a Markowitz-ordered LU-factorised, eta-updated basis (the default
-//! for the wide, block-sparse repair LPs) and the dense flat-tableau solver
-//! it superseded (kept as the small-problem fallback and
-//! differential-testing oracle).  The revised backend prices entering
-//! columns with Devex reference weights over a partial-pricing candidate
-//! list by default; [`PricingRule`] pins Dantzig or Devex explicitly (or
-//! via the `PRDNN_LP_PRICING` environment variable).
-//! [`SolveOptions`]/[`LpBackend`] select explicitly; [`solve`] picks
-//! automatically per problem.
+//! Three simplex implementations sit behind [`LpBackend`]:
+//!
+//! * a **dual simplex** started at `x = 0` (`dual.rs`), which
+//!   [`LpBackend::Auto`] — the default of [`solve`] and of the repair
+//!   algorithms — uses for every program whose all-slack basis is dual
+//!   feasible: the ℓ1 objective, the ℓ∞ lowering, and bound rows, i.e.
+//!   every repair LP.  It needs no phase 1 and pivots only on rows that
+//!   become active on the way to the optimum, on a `k × m` condensed tableau (`k` variables,
+//!   `m` rows).  Its answer is checked against the original rows, and a
+//!   check that fails re-solves on the primal path ([`LpStats::fallbacks`]);
+//! * a sparse **revised** two-phase simplex with a Markowitz-ordered
+//!   LU-factorised, eta-updated basis, priced with Devex reference weights
+//!   over a partial-pricing candidate list or with Dantzig's rule
+//!   ([`PricingRule`], or the `PRDNN_LP_PRICING` environment variable);
+//! * the **dense** flat-tableau two-phase simplex, the differential-testing
+//!   oracle.
+//!
+//! `Auto` sends the programs the dual simplex does not take (linear
+//! objectives with a nonzero cost on a free variable or a negative cost on
+//! a non-negative one) to the revised or dense backend by
+//! estimated per-pivot work; [`SolveOptions`] pins `DenseTableau` or
+//! `RevisedSparse` explicitly.
 //!
 //! # Example
 //!
@@ -43,6 +55,7 @@
 //! ```
 
 mod basis;
+mod dual;
 mod problem;
 mod revised;
 mod simplex;

@@ -128,35 +128,8 @@ impl Tableau {
 
     /// Pivots on `(row, col)`: normalises the pivot row and eliminates the
     /// pivot column from every other row, including the reduced-cost row.
-    ///
-    /// One pass of stride-indexed row operations over the flat buffer; no
-    /// allocation.
     fn pivot(&mut self, row: usize, col: usize) {
-        let stride = self.stride;
-        let piv = self.at(row, col);
-        debug_assert!(piv.abs() > PIVOT_EPS, "pivot on (near-)zero element");
-        let inv = 1.0 / piv;
-        for v in self.row_mut(row) {
-            *v *= inv;
-        }
-        // Make the pivot column exactly canonical to limit error
-        // accumulation.
-        self.data[row * stride + col] = 1.0;
-
-        let (before, rest) = self.data.split_at_mut(row * stride);
-        let (pivot_row, after) = rest.split_at_mut(stride);
-        for other in before
-            .chunks_exact_mut(stride)
-            .chain(after.chunks_exact_mut(stride))
-        {
-            let factor = other[col];
-            if factor != 0.0 {
-                for (o, p) in other.iter_mut().zip(pivot_row.iter()) {
-                    *o -= factor * p;
-                }
-                other[col] = 0.0;
-            }
-        }
+        pivot_rows(&mut self.data, self.stride, row, col);
     }
 
     /// Removes constraint row `i`, shifting later rows (and the objective
@@ -181,6 +154,38 @@ impl Tableau {
         }
         self.stride = new_stride;
         self.data.truncate((self.m + 1) * new_stride);
+    }
+}
+
+/// The rank-1 pivot update shared by both tableau solvers: on a flat
+/// row-major buffer of `stride`-wide rows, normalises row `row` by its entry
+/// in column `col` and eliminates that column from every other row.
+///
+/// One pass of stride-indexed row operations over the flat buffer; no
+/// allocation.
+pub(crate) fn pivot_rows(data: &mut [f64], stride: usize, row: usize, col: usize) {
+    let piv = data[row * stride + col];
+    debug_assert!(piv.abs() > PIVOT_EPS, "pivot on (near-)zero element");
+    let inv = 1.0 / piv;
+    for v in &mut data[row * stride..(row + 1) * stride] {
+        *v *= inv;
+    }
+    // Make the pivot column exactly canonical to limit error accumulation.
+    data[row * stride + col] = 1.0;
+
+    let (before, rest) = data.split_at_mut(row * stride);
+    let (pivot_row, after) = rest.split_at_mut(stride);
+    for other in before
+        .chunks_exact_mut(stride)
+        .chain(after.chunks_exact_mut(stride))
+    {
+        let factor = other[col];
+        if factor != 0.0 {
+            for (o, p) in other.iter_mut().zip(pivot_row.iter()) {
+                *o -= factor * p;
+            }
+            other[col] = 0.0;
+        }
     }
 }
 

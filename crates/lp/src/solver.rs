@@ -1,26 +1,36 @@
-//! Conversion from modelling form to standard form and backend selection.
+//! Backend selection and the conversion from modelling form to standard
+//! form.
 //!
-//! The conversion produces a *sparse* standard form straight from the
-//! (already sparse) modelling constraints; the solver then routes it to one
-//! of two simplex backends:
+//! [`LpBackend::Auto`] (the default used by [`solve`] / [`solve_with_limit`]
+//! and by the repair algorithms) first asks whether the all-slack basis of
+//! the program is dual feasible: whether every dual box `[ℓ_j, h_j]` of
+//! [`crate::dual`] contains 0.  The ℓ1 objective, the ℓ∞ lowering and
+//! `param_bound` rows always qualify, so every repair LP goes to the dual
+//! simplex, started at `x = 0`.  Its `x` is checked against the original
+//! rows (and an infeasibility ray against them too); a check that fails
+//! re-solves on the primal revised → dense path and counts an
+//! [`LpStats::fallbacks`].
+//!
+//! The remaining programs, and explicit backend choices, take the primal
+//! two-phase path over a *sparse* standard form built straight from the
+//! (already sparse) modelling constraints:
 //!
 //! * [`LpBackend::RevisedSparse`] — the revised simplex over CSR/CSC
 //!   columns with a Markowitz-ordered LU-factorised, eta-updated basis
-//!   ([`crate::revised`]).  `O(nnz + m²)` per pivot; the default for the
-//!   wide, block-sparse repair LPs.  [`PricingRule`] picks its
-//!   entering-column rule (Devex partial pricing by default).
+//!   ([`crate::revised`]).  `O(nnz + m²)` per pivot.  [`PricingRule`] picks
+//!   its entering-column rule (Devex partial pricing by default).  If it
+//!   hits a numerical breakdown (singular basis refactorisation), the solve
+//!   transparently re-runs on the dense tableau.
 //! * [`LpBackend::DenseTableau`] — the flat-tableau two-phase simplex
-//!   ([`crate::simplex`]).  `O(m·n)` per pivot but with a small constant;
-//!   kept as the small-problem fallback and as the differential-testing
-//!   oracle for the revised backend.
+//!   ([`crate::simplex`]).  `O(m·n)` per pivot with a small constant; the
+//!   differential-testing oracle for the other two.
 //!
-//! [`LpBackend::Auto`] (the default used by [`solve`] / [`solve_with_limit`])
-//! compares the estimated per-pivot work of the two backends — `m·n` cells
-//! for the tableau against `nnz + 2m²` for pricing plus the BTRAN/FTRAN
-//! triangular solves — and picks the cheaper one.  If the revised backend
-//! ever hits a numerical breakdown (singular basis refactorisation), the
-//! solve transparently re-runs on the dense oracle.
+//! For those programs `Auto` compares the estimated per-pivot work of the
+//! two primal backends — `m·n` cells for the tableau against `nnz + 2m²`
+//! for pricing plus the BTRAN/FTRAN triangular solves — and picks the
+//! cheaper one.
 
+use crate::dual::{self, DualOutcome};
 use crate::problem::{ConstraintOp, LpProblem, Objective, VarKind};
 use crate::revised::{solve_standard_sparse_with_stats, Pricing, RevisedStats};
 use crate::simplex::{solve_standard, SimplexOutcome};
@@ -38,10 +48,14 @@ pub struct Solution {
 
 /// Work counters from one solve, surfaced by [`solve_with_stats`].
 ///
-/// The revised sparse backend fills every field; the dense tableau has no
-/// instrumentation, so dense solves (including the transparent
-/// breakdown fallback) report all-zero stats.  ℓ∞ objectives are lowered to
-/// a single augmented solve, whose counters carry through unchanged.
+/// The dual simplex (the default path of every repair LP) fills `pivots`,
+/// `bland_pivots` and `degenerate_pivots`, counting a bound flip as a
+/// pivot; it never refactorises.  The revised sparse backend fills every
+/// field.  The dense tableau has no instrumentation, so an explicit
+/// `DenseTableau` solve (or the revised backend's breakdown fallback)
+/// reports zero pivots.  A dual solve that falls back adds the primal
+/// solve's counters to its own.  ℓ∞ objectives are lowered to a single
+/// augmented solve, whose counters carry through unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpStats {
     /// Total simplex pivots across both phases.
@@ -52,6 +66,9 @@ pub struct LpStats {
     pub refactorizations: u64,
     /// Degenerate (zero-step) pivots.
     pub degenerate_pivots: u64,
+    /// Dual-path solves whose result failed its check against the original
+    /// rows and were re-solved on the primal revised → dense path.
+    pub fallbacks: u64,
 }
 
 impl From<RevisedStats> for LpStats {
@@ -61,6 +78,7 @@ impl From<RevisedStats> for LpStats {
             bland_pivots: s.bland_pivots as u64,
             refactorizations: s.refactorizations as u64,
             degenerate_pivots: s.degenerate_pivots as u64,
+            fallbacks: 0,
         }
     }
 }
@@ -68,7 +86,9 @@ impl From<RevisedStats> for LpStats {
 /// Which simplex implementation executes the solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LpBackend {
-    /// Choose per problem from the standard form's shape and sparsity.
+    /// The dual simplex for every program whose all-slack basis is dual
+    /// feasible (every repair LP); otherwise the revised or dense backend,
+    /// chosen from the standard form's shape and sparsity.
     #[default]
     Auto,
     /// Always use the dense flat-tableau simplex.
@@ -238,8 +258,61 @@ pub fn solve_with_stats(
         ));
     }
 
+    if options.backend == LpBackend::Auto {
+        if let Some(boxes) = dual::dual_boxes(problem) {
+            let (outcome, stats) = dual::solve(problem, &boxes, options.max_iters);
+            match outcome {
+                DualOutcome::Optimal(values) if problem.is_feasible(&values, RESIDUAL_TOL) => {
+                    let objective = objective_value(problem, &values);
+                    return Ok((Solution { values, objective }, stats));
+                }
+                DualOutcome::Infeasible => return Err(LpError::Infeasible),
+                DualOutcome::IterationLimit => return Err(LpError::IterationLimit),
+                // A Δ that misses its own rows or a ray that does not hold
+                // up: re-solve on the primal path, counting the fallback.
+                DualOutcome::Optimal(_) | DualOutcome::UnverifiedRay => {
+                    let (solution, primal) =
+                        solve_primal(problem, options, LpBackend::RevisedSparse)?;
+                    let stats = LpStats {
+                        pivots: stats.pivots + primal.pivots,
+                        bland_pivots: stats.bland_pivots + primal.bland_pivots,
+                        refactorizations: primal.refactorizations,
+                        degenerate_pivots: stats.degenerate_pivots + primal.degenerate_pivots,
+                        fallbacks: 1,
+                    };
+                    return Ok((solution, stats));
+                }
+            }
+        }
+    }
+    solve_primal(problem, options, options.backend)
+}
+
+/// Largest row violation the dual path's `Δ` may have before the solve is
+/// repeated on the primal path (the tolerance the solver tests check
+/// feasibility with).
+const RESIDUAL_TOL: f64 = 1e-7;
+
+/// The objective of `problem` at `values`.
+fn objective_value(problem: &LpProblem, values: &[f64]) -> f64 {
+    match &problem.objective {
+        Objective::Feasibility => 0.0,
+        Objective::Linear(c) => c.iter().zip(values).map(|(c, x)| c * x).sum(),
+        Objective::MinimizeL1(vars) => vars.iter().map(|v| values[v.index()].abs()).sum(),
+        Objective::MinimizeLinf(_) => unreachable!("lowered before solving"),
+    }
+}
+
+/// The primal two-phase path: the revised backend (which falls back to the
+/// dense tableau on a numerical breakdown) or the dense tableau, `Auto`
+/// choosing between them by estimated per-pivot work.
+fn solve_primal(
+    problem: &LpProblem,
+    options: &SolveOptions,
+    backend: LpBackend,
+) -> Result<(Solution, LpStats), LpError> {
     let (sf, mapping) = to_standard_form(problem);
-    let use_revised = match options.backend {
+    let use_revised = match backend {
         LpBackend::DenseTableau => false,
         LpBackend::RevisedSparse => true,
         LpBackend::Auto => auto_prefers_revised(&sf),
@@ -422,8 +495,9 @@ mod tests {
     use super::*;
     use crate::{LpProblem, VarKind};
 
-    /// Runs every test problem through the dense oracle and the revised
-    /// backend under both pricing rules, checking all three agree.
+    /// Runs every test problem through the dense oracle, the revised
+    /// backend under both pricing rules, and `Auto` (the dual simplex for
+    /// the programs it takes), checking all four agree.
     fn solve_both(lp: &LpProblem) -> Result<Solution, LpError> {
         let dense = solve_with_options(
             lp,
@@ -433,25 +507,32 @@ mod tests {
             },
         );
         let mut last = dense.clone();
-        for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
-            let revised = solve_with_options(
+        for (backend, pricing) in [
+            (LpBackend::RevisedSparse, PricingRule::Dantzig),
+            (LpBackend::RevisedSparse, PricingRule::Devex),
+            (LpBackend::Auto, PricingRule::Auto),
+        ] {
+            let other = solve_with_options(
                 lp,
                 &SolveOptions {
-                    backend: LpBackend::RevisedSparse,
+                    backend,
                     pricing,
                     ..SolveOptions::default()
                 },
             );
-            match (&dense, &revised) {
-                (Ok(d), Ok(r)) => assert!(
-                    (d.objective - r.objective).abs() < 1e-6,
-                    "backends disagree ({pricing:?}): dense {} vs revised {}",
+            match (&dense, &other) {
+                (Ok(d), Ok(o)) => assert!(
+                    (d.objective - o.objective).abs() < 1e-6,
+                    "backends disagree ({backend:?}/{pricing:?}): dense {} vs {}",
                     d.objective,
-                    r.objective
+                    o.objective
                 ),
-                (a, b) => assert_eq!(a, b, "backends disagree on classification ({pricing:?})"),
+                (a, b) => assert_eq!(
+                    a, b,
+                    "backends disagree on classification ({backend:?}/{pricing:?})"
+                ),
             }
-            last = revised;
+            last = other;
         }
         last
     }
@@ -681,5 +762,69 @@ mod tests {
         .unwrap();
         assert!((linf_solution.objective - 0.5).abs() < 1e-7);
         assert!(linf_stats.pivots > 0);
+    }
+
+    #[test]
+    fn auto_solves_repair_lps_on_the_dual_path_and_counts_its_pivots() {
+        let mut wide = LpProblem::new();
+        let vars = wide.add_vars(128, VarKind::Free);
+        for block in 0..16 {
+            let terms: Vec<_> = (0..8).map(|k| (vars[block * 8 + k], 1.0)).collect();
+            wide.add_constraint(&terms, ConstraintOp::Ge, 1.0);
+        }
+        for (linf, expected) in [(false, 16.0), (true, 0.125)] {
+            let mut lp = wide.clone();
+            if linf {
+                lp.minimize_linf_of(&vars);
+            } else {
+                lp.minimize_l1_of(&vars);
+            }
+            let (solution, stats) = solve_with_stats(&lp, &SolveOptions::default()).unwrap();
+            assert!((solution.objective - expected).abs() < 1e-9);
+            assert!(lp.is_feasible(&solution.values, RESIDUAL_TOL));
+            assert!(stats.pivots >= 16, "one pivot per violated block at least");
+            assert_eq!((stats.refactorizations, stats.fallbacks), (0, 0));
+        }
+    }
+
+    #[test]
+    fn badly_scaled_rows_fall_back_to_the_primal_path() {
+        // Rows scaled from 1e-7 to 1e8: the dual path's Δ (read off reduced
+        // costs) misses a row by more than `RESIDUAL_TOL`, so the solve is
+        // repeated on the primal path, which recovers Δ from the basis.
+        let mut lp = LpProblem::new();
+        let x = lp.add_var(VarKind::Free);
+        let y = lp.add_var(VarKind::Free);
+        let rows = [
+            (1.0087778668132596, -3.939327658450442, -94.09874438835499),
+            (-87335895.4754199, 40045852.373448044, 82780886.69609307),
+            (-7901.509782340281, 854.6021084158806, 8281.117202321671),
+            (
+                -0.06014302279639266,
+                0.02161016529325506,
+                0.09690553996937895,
+            ),
+            (
+                -0.0275873105111369,
+                -0.06464501354151848,
+                -0.07077570311424113,
+            ),
+            (239.7949093726992, -704.6156787868013, -41.58591561514169),
+            (
+                -2.215218385578188e-7,
+                -2.741130192179044e-7,
+                -7.465996633571059e-11,
+            ),
+        ];
+        for (a, b, r) in rows {
+            lp.add_constraint(&[(x, a), (y, b)], ConstraintOp::Le, r);
+        }
+        lp.minimize_l1_of(&[x, y]);
+        let (solution, stats) = solve_with_stats(&lp, &SolveOptions::default()).unwrap();
+        assert_eq!(stats.fallbacks, 1);
+        assert!(stats.pivots > 0);
+        assert!(lp.is_feasible(&solution.values, RESIDUAL_TOL));
+        let dense = solve_both(&lp).unwrap();
+        assert!((solution.objective - dense.objective).abs() < 1e-9 * dense.objective);
     }
 }

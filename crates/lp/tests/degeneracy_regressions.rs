@@ -12,8 +12,9 @@ use prdnn_lp::{
     solve_with_options, ConstraintOp, LpBackend, LpProblem, PricingRule, SolveOptions, VarKind,
 };
 
-const CONFIGS: [(&str, LpBackend, PricingRule); 3] = [
+const CONFIGS: [(&str, LpBackend, PricingRule); 4] = [
     ("dense", LpBackend::DenseTableau, PricingRule::Auto),
+    ("auto", LpBackend::Auto, PricingRule::Auto),
     (
         "revised+dantzig",
         LpBackend::RevisedSparse,

@@ -30,7 +30,11 @@ fn golden_paper_example_repair_is_invariant_across_configurations() {
     const GOLDEN_DRAWDOWN: f64 = 7.0 / 6.0;
     let n1 = prdnn::core::paper_example::n1();
     let spec = prdnn::core::paper_example::equation_2_spec();
-    for backend in [LpBackend::DenseTableau, LpBackend::RevisedSparse] {
+    for backend in [
+        LpBackend::Auto,
+        LpBackend::DenseTableau,
+        LpBackend::RevisedSparse,
+    ] {
         for pricing in [PricingRule::Dantzig, PricingRule::Devex] {
             for threads in [1usize, 4] {
                 let label = format!("{backend:?}/{pricing:?}/threads={threads}");
