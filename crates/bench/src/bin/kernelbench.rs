@@ -4,8 +4,11 @@
 //! bitwise oracle check on every run — a mismatch fails the process, which
 //! is what CI keys off), plus the three end-to-end workloads the repair
 //! pipeline spends its time in: `Network::forward_batch`, the DDNN
-//! parameter Jacobian, and SyReNN `plane_regions`.  Pool workloads are
-//! swept at `--threads 1/2/4`.
+//! parameter Jacobian, and SyReNN `plane_regions`.  The Task 1 CNN
+//! (conv 3→6 → maxpool → conv 6→8 → maxpool → dense → dense on 3×8×8
+//! images) gets its own cases: the first convolution's forward pass, the
+//! DDNN Jacobian of that layer, and one `sgd_train` epoch.  Pool workloads
+//! are swept at `--threads 1/2/4`.
 //!
 //! Every case runs at least [`prdnn_bench::stats::MIN_RUNS`] times and is
 //! reported as **median + IQR**, never a single sample.  The report also
@@ -20,8 +23,9 @@
 
 use prdnn_bench::stats::{summarize, time_runs, Summary, MIN_RUNS};
 use prdnn_core::DecoupledNetwork;
+use prdnn_datasets::imagenet_like;
 use prdnn_linalg::gemm;
-use prdnn_nn::{Activation, Network};
+use prdnn_nn::{sgd_train, Activation, FlatBatch, Network, TrainConfig};
 use prdnn_par::ThreadPool;
 use prdnn_syrenn::plane_regions_in;
 use rand::rngs::StdRng;
@@ -228,6 +232,88 @@ fn plane_regions_cases(runs: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// The Task 1 CNN cases: what `task1::setup` trains and what Algorithm 1
+/// differentiates when it repairs the first convolution.
+fn task1_cnn_cases(runs: usize, cases: &mut Vec<Case>) {
+    let mut rng = StdRng::seed_from_u64(31);
+    let net = imagenet_like::object_cnn(&mut rng);
+    let net_name = Value::Str("task1 cnn".to_owned());
+    let conv = net.layer(0);
+
+    let images = imagenet_like::generate(64, &mut rng);
+    let batch = FlatBatch::from_rows(conv.input_dim(), &images.inputs);
+    let summary = summarize(time_runs(runs, || {
+        std::hint::black_box(conv.preactivation_batch_flat(&batch));
+    }));
+    cases.push(Case {
+        name: "conv2d_forward_task1_b64".to_owned(),
+        config: vec![
+            ("net", net_name.clone()),
+            ("layer", Value::Num(0.0)),
+            ("batch", Value::Num(batch.count() as f64)),
+        ],
+        threads: None,
+        summary,
+        speedup_vs_naive: None,
+    });
+
+    let ddnn = DecoupledNetwork::from_network(&net);
+    let points = imagenet_like::generate(60, &mut rng).inputs;
+    let pairs: Vec<(&[f64], &[f64])> = points.iter().map(|p| (&p[..], &p[..])).collect();
+    let serial = ddnn.value_param_jacobian_batch(0, &pairs);
+    for threads in THREAD_SWEEP {
+        let pool = ThreadPool::new(threads);
+        let summary = summarize(time_runs(runs, || {
+            let out = ddnn.value_param_jacobian_batch_in(&pool, 0, &pairs);
+            assert_eq!(out, serial, "jacobian_batch_in diverged from serial");
+        }));
+        cases.push(Case {
+            name: "jacobian_batch_task1_l0_b60".to_owned(),
+            config: vec![
+                ("net", net_name.clone()),
+                ("layer", Value::Num(0.0)),
+                ("points", Value::Num(pairs.len() as f64)),
+            ],
+            threads: Some(threads),
+            summary,
+            speedup_vs_naive: None,
+        });
+    }
+
+    // Task 1's training configuration at small scale, one epoch.
+    let train = imagenet_like::generate(360, &mut rng);
+    let config = TrainConfig {
+        learning_rate: 0.03,
+        momentum: 0.9,
+        batch_size: 16,
+        epochs: 1,
+        ..TrainConfig::default()
+    };
+    let summary = summarize(time_runs(runs, || {
+        let mut trained = net.clone();
+        let mut rng = StdRng::seed_from_u64(37);
+        sgd_train(
+            &mut trained,
+            &train.inputs,
+            &train.labels,
+            &config,
+            &mut rng,
+        );
+        std::hint::black_box(trained);
+    }));
+    cases.push(Case {
+        name: "sgd_epoch_task1_n360".to_owned(),
+        config: vec![
+            ("net", net_name),
+            ("samples", Value::Num(train.len() as f64)),
+            ("batch_size", Value::Num(config.batch_size as f64)),
+        ],
+        threads: None,
+        summary,
+        speedup_vs_naive: None,
+    });
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let runs = prdnn_bench::flag_value("--runs")
@@ -243,6 +329,7 @@ fn main() {
     forward_batch_cases(runs, &mut cases);
     jacobian_cases(runs, &mut cases);
     plane_regions_cases(runs, &mut cases);
+    task1_cnn_cases(runs, &mut cases);
 
     for case in &cases {
         let threads = case

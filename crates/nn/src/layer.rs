@@ -23,6 +23,7 @@ use crate::activation::Activation;
 use crate::batch::FlatBatch;
 use prdnn_linalg::{gemm, Matrix};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// How a layer's activation can cross between linear pieces.
 ///
@@ -167,6 +168,36 @@ impl DenseLayer {
 
 /// A 2-D convolutional layer `σ(conv(x, K) + b)` over `C×H×W` inputs
 /// flattened in row-major `[channel][row][col]` order.
+///
+/// # Kernels and their summation order
+///
+/// The pre-activation and both vector–Jacobian products are direct loops
+/// that hoist one kernel tap `(ky, kx)` out of the spatial loops.  The
+/// output positions a tap reaches without touching the zero padding form
+/// one contiguous range per axis, computed once per tap, so the innermost
+/// loop runs over consecutive `ox` with no bounds test:
+///
+/// * forward: `oc → ic → ky → kx → oy → ox`, each output starting from its
+///   bias;
+/// * input VJP: `r → oc → ic → ky↓ → kx↓ → oy → ox` (kernel taps in
+///   descending order);
+/// * parameter VJP: one dot per weight over ascending `(oy, ox)`, then one
+///   sum per bias over its channel.
+///
+/// Floating-point addition is not associative, so these orders are chosen
+/// to give every accumulator exactly the terms, term order and operand
+/// order of the textbook loop (`oc → oy → ox → ic → ky → kx`, one `+=` per
+/// in-bounds connection), which makes the results bit-identical to it:
+///
+/// * an output `(oc, oy, ox)` sums `w · x` over ascending `(ic, ky, kx)`;
+/// * an input entry `(ic, iy, ix)` receives one term per `(oc, oy, ox)`
+///   that reads it, in ascending `(oc, oy, ox)`.  For that entry `ky` fixes
+///   `oy` (`iy = oy · stride + ky − padding`) and `kx` fixes `ox`, and a
+///   larger tap means a smaller position, hence the descending taps;
+/// * a weight's gradient sums over ascending `(oy, ox)` from `0.0`.
+///
+/// The unit tests check this bit for bit against the textbook loop on
+/// random shapes (strides, paddings, non-square kernels and inputs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Conv2dLayer {
     /// Input channel count.
@@ -204,34 +235,47 @@ impl Conv2dLayer {
         (self.in_width + 2 * self.padding - self.kernel_w) / self.stride + 1
     }
 
-    fn in_index(&self, c: usize, y: isize, x: isize) -> Option<usize> {
-        if y < 0 || x < 0 || y as usize >= self.in_height || x as usize >= self.in_width {
-            None
-        } else {
-            Some((c * self.in_height + y as usize) * self.in_width + x as usize)
-        }
-    }
-
     fn weight_index(&self, oc: usize, ic: usize, ky: usize, kx: usize) -> usize {
         ((oc * self.in_channels + ic) * self.kernel_h + ky) * self.kernel_w + kx
     }
 
-    /// Iterates over `(out_index, weight_index, in_index)` triples describing
-    /// the sparse linear structure of the convolution, calling `f` for each.
-    fn for_each_connection(&self, mut f: impl FnMut(usize, usize, usize)) {
+    /// The output positions `o` along one axis whose input coordinate
+    /// `o · stride + k − padding` (kernel offset `k`) lies inside the
+    /// `in_len`-long input.  Positions outside it read the zero padding and
+    /// contribute no term at all.
+    fn valid_outputs(&self, k: usize, in_len: usize, out_len: usize) -> Range<usize> {
+        let (s, p) = (self.stride, self.padding);
+        let lo = p.saturating_sub(k).div_ceil(s);
+        let hi = (in_len + p).saturating_sub(k).div_ceil(s).min(out_len);
+        lo..hi.max(lo)
+    }
+
+    /// Writes the convolution pre-activation for one input into `z`
+    /// (which must have length `output_dim`), in the forward loop order of
+    /// the type-level docs.
+    fn preactivation_into(&self, input: &[f64], z: &mut [f64]) {
         let (oh, ow) = (self.out_height(), self.out_width());
-        for oc in 0..self.out_channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let out_idx = (oc * oh + oy) * ow + ox;
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel_h {
-                            for kx in 0..self.kernel_w {
-                                let iy = (oy * self.stride + ky) as isize - self.padding as isize;
-                                let ix = (ox * self.stride + kx) as isize - self.padding as isize;
-                                if let Some(in_idx) = self.in_index(ic, iy, ix) {
-                                    f(out_idx, self.weight_index(oc, ic, ky, kx), in_idx);
-                                }
+        let (ih, iw) = (self.in_height, self.in_width);
+        let (s, p) = (self.stride, self.padding);
+        for (oc, zc) in z.chunks_exact_mut(oh * ow).enumerate() {
+            zc.fill(self.bias[oc]);
+            for ic in 0..self.in_channels {
+                let xc = &input[ic * ih * iw..(ic + 1) * ih * iw];
+                for ky in 0..self.kernel_h {
+                    let oys = self.valid_outputs(ky, ih, oh);
+                    for kx in 0..self.kernel_w {
+                        let oxs = self.valid_outputs(kx, iw, ow);
+                        if oxs.is_empty() {
+                            continue;
+                        }
+                        let w = self.weights[self.weight_index(oc, ic, ky, kx)];
+                        let ix0 = oxs.start * s + kx - p;
+                        for oy in oys.clone() {
+                            let iy = oy * s + ky - p;
+                            let zs = &mut zc[oy * ow + oxs.start..oy * ow + oxs.end];
+                            let xs = xc[iy * iw + ix0..].iter().step_by(s);
+                            for (zi, xi) in zs.iter_mut().zip(xs) {
+                                *zi += w * xi;
                             }
                         }
                     }
@@ -240,21 +284,116 @@ impl Conv2dLayer {
         }
     }
 
-    /// Writes the convolution pre-activation for one input into `z`
-    /// (which must have length `output_dim`).
-    fn preactivation_into(&self, input: &[f64], z: &mut [f64]) {
+    /// `rows · (∂z/∂input)` ([`Layer::preact_input_vjp`]), walking the
+    /// kernel taps in descending order as the type-level docs explain.
+    fn input_vjp(&self, rows: &Matrix) -> Matrix {
         let (oh, ow) = (self.out_height(), self.out_width());
-        for oc in 0..self.out_channels {
-            let b = self.bias[oc];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    z[(oc * oh + oy) * ow + ox] = b;
+        let (ih, iw) = (self.in_height, self.in_width);
+        let (s, p) = (self.stride, self.padding);
+        let in_dim = self.in_channels * ih * iw;
+        let mut out = Matrix::zeros(rows.rows(), in_dim);
+        for r in 0..rows.rows() {
+            let out_row = &mut out.as_mut_slice()[r * in_dim..(r + 1) * in_dim];
+            for (oc, gc) in rows.row(r).chunks_exact(oh * ow).enumerate() {
+                for ic in 0..self.in_channels {
+                    let dc = &mut out_row[ic * ih * iw..(ic + 1) * ih * iw];
+                    for ky in (0..self.kernel_h).rev() {
+                        let oys = self.valid_outputs(ky, ih, oh);
+                        for kx in (0..self.kernel_w).rev() {
+                            let oxs = self.valid_outputs(kx, iw, ow);
+                            if oxs.is_empty() {
+                                continue;
+                            }
+                            let w = self.weights[self.weight_index(oc, ic, ky, kx)];
+                            let ix0 = oxs.start * s + kx - p;
+                            for oy in oys.clone() {
+                                let iy = oy * s + ky - p;
+                                let gs = &gc[oy * ow + oxs.start..oy * ow + oxs.end];
+                                let ds = dc[iy * iw + ix0..].iter_mut().step_by(s);
+                                for (di, gi) in ds.zip(gs) {
+                                    *di += gi * w;
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
-        self.for_each_connection(|out_idx, w_idx, in_idx| {
-            z[out_idx] += self.weights[w_idx] * input[in_idx];
-        });
+        out
+    }
+
+    /// `rows · (∂z/∂params)` at `input` ([`Layer::preact_param_vjp`]).
+    ///
+    /// One dot product per weight over ascending `(oy, ox)`, then one sum
+    /// per bias, each accumulated from `0.0`.  The weights that share a tap
+    /// `(ic, ky, kx)` across output channels read the same inputs, so their
+    /// dots, for every upstream row, advance together: the upstream values
+    /// are transposed once to position-major `[oy][ox][oc][r]`, and each
+    /// position adds one contiguous slice of independent accumulators
+    /// instead of extending a single latency-bound chain.
+    fn param_vjp(&self, rows: &Matrix, input: &[f64]) -> Matrix {
+        let (oh, ow) = (self.out_height(), self.out_width());
+        let (ih, iw) = (self.in_height, self.in_width);
+        let (s, p) = (self.stride, self.padding);
+        let (nr, noc) = (rows.rows(), self.out_channels);
+        let nw = self.weights.len();
+        let lanes = noc * nr;
+        let mut g = vec![0.0; oh * ow * lanes];
+        for r in 0..nr {
+            for (oc, gc) in rows.row(r).chunks_exact(oh * ow).enumerate() {
+                for (pos, &v) in gc.iter().enumerate() {
+                    g[pos * lanes + oc * nr + r] = v;
+                }
+            }
+        }
+        let mut out = Matrix::zeros(nr, nw + self.bias.len());
+        if nr == 0 {
+            return out;
+        }
+        let mut acc = vec![0.0; lanes];
+        for ic in 0..self.in_channels {
+            let xc = &input[ic * ih * iw..(ic + 1) * ih * iw];
+            for ky in 0..self.kernel_h {
+                let oys = self.valid_outputs(ky, ih, oh);
+                for kx in 0..self.kernel_w {
+                    let oxs = self.valid_outputs(kx, iw, ow);
+                    if oxs.is_empty() {
+                        // No connections: the entries stay 0.0.
+                        continue;
+                    }
+                    let ix0 = oxs.start * s + kx - p;
+                    acc.fill(0.0);
+                    for oy in oys.clone() {
+                        let iy = oy * s + ky - p;
+                        let pos0 = oy * ow + oxs.start;
+                        let gs = g[pos0 * lanes..(pos0 + oxs.len()) * lanes].chunks_exact(lanes);
+                        let xs = xc[iy * iw + ix0..].iter().step_by(s);
+                        for (gp, xi) in gs.zip(xs) {
+                            for (a, gi) in acc.iter_mut().zip(gp) {
+                                *a += gi * xi;
+                            }
+                        }
+                    }
+                    for (oc, accs) in acc.chunks_exact(nr).enumerate() {
+                        let w_idx = self.weight_index(oc, ic, ky, kx);
+                        for (r, a) in accs.iter().enumerate() {
+                            out[(r, w_idx)] = *a;
+                        }
+                    }
+                }
+            }
+        }
+        // Bias of channel `oc`: the plain sum of its upstream block.
+        for r in 0..nr {
+            for (oc, gc) in rows.row(r).chunks_exact(oh * ow).enumerate() {
+                let mut sum = 0.0;
+                for gi in gc {
+                    sum += gi;
+                }
+                out[(r, nw + oc)] = sum;
+            }
+        }
+        out
     }
 }
 
@@ -301,27 +440,46 @@ impl Pool2dLayer {
     /// batch entry points compute this table once per call and share it
     /// across the whole batch.
     pub fn flat_windows(&self) -> PoolWindows {
-        let (oh, ow) = (self.out_height(), self.out_width());
-        let window_len = self.pool_h * self.pool_w;
-        let mut indices = Vec::with_capacity(self.channels * oh * ow * window_len);
-        for c in 0..self.channels {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for py in 0..self.pool_h {
-                        for px in 0..self.pool_w {
-                            let iy = oy * self.stride + py;
-                            let ix = ox * self.stride + px;
-                            indices.push((c * self.in_height + iy) * self.in_width + ix);
-                        }
-                    }
-                }
-            }
-        }
         PoolWindows {
-            indices,
-            window_len,
+            indices: self.window_iter().flatten().collect(),
+            window_len: self.pool_h * self.pool_w,
         }
     }
+
+    /// The windows in output order, each as an iterator over the input
+    /// indices it reads (row-major within the window), computed by index
+    /// arithmetic.  The per-point entry points walk this instead of building
+    /// a [`PoolWindows`] table on every call.
+    fn window_iter(&self) -> impl Iterator<Item = impl Iterator<Item = usize>> {
+        let (oh, ow) = (self.out_height(), self.out_width());
+        let (ih, iw, s) = (self.in_height, self.in_width, self.stride);
+        let (ph, pw) = (self.pool_h, self.pool_w);
+        (0..self.channels * oh).flat_map(move |row| {
+            let (c, oy) = (row / oh, row % oh);
+            (0..ow).map(move |ox| {
+                let base = (c * ih + oy * s) * iw + ox * s;
+                (0..ph).flat_map(move |py| (base + py * iw..).take(pw))
+            })
+        })
+    }
+}
+
+/// The first maximal entry of `z` inside a pooling window, as
+/// `(position in the window, index into z)`.  Ties keep the earlier
+/// position.
+///
+/// # Panics
+///
+/// Panics if the window is empty.
+fn window_argmax(z: &[f64], mut window: impl Iterator<Item = usize>) -> (usize, usize) {
+    let first = window.next().expect("pooling window is empty");
+    let mut best = (0, first);
+    for (k, i) in window.enumerate() {
+        if z[i] > z[best.1] {
+            best = (k + 1, i);
+        }
+    }
+    best
 }
 
 /// The input-index map of a pooling layer, flattened: window `w` reads the
@@ -509,15 +667,15 @@ impl Layer {
             Layer::Dense(d) => d.activation.apply(z),
             Layer::Conv2d(c) => c.activation.apply(z),
             Layer::MaxPool2d(p) => p
-                .flat_windows()
-                .iter()
-                .map(|w| w.iter().map(|&i| z[i]).fold(f64::NEG_INFINITY, f64::max))
+                .window_iter()
+                .map(|w| w.map(|i| z[i]).fold(f64::NEG_INFINITY, f64::max))
                 .collect(),
-            Layer::AvgPool2d(p) => p
-                .flat_windows()
-                .iter()
-                .map(|w| w.iter().map(|&i| z[i]).sum::<f64>() / w.len() as f64)
-                .collect(),
+            Layer::AvgPool2d(p) => {
+                let len = (p.pool_h * p.pool_w) as f64;
+                p.window_iter()
+                    .map(|w| w.map(|i| z[i]).sum::<f64>() / len)
+                    .collect()
+            }
         }
     }
 
@@ -701,25 +859,13 @@ impl Layer {
                     intercepts: lin.iter().map(|(_, b)| *b).collect(),
                 }
             }
-            Layer::MaxPool2d(p) => {
-                let selected = p
-                    .flat_windows()
-                    .iter()
-                    .map(|w| {
-                        let mut best = w[0];
-                        for &i in w {
-                            if z_center[i] > z_center[best] {
-                                best = i;
-                            }
-                        }
-                        best
-                    })
-                    .collect();
-                ActivationLinearization::Selection {
-                    selected,
-                    in_dim: self.input_dim(),
-                }
-            }
+            Layer::MaxPool2d(p) => ActivationLinearization::Selection {
+                selected: p
+                    .window_iter()
+                    .map(|w| window_argmax(z_center, w).1)
+                    .collect(),
+                in_dim: self.input_dim(),
+            },
             Layer::AvgPool2d(p) => ActivationLinearization::Averaging {
                 windows: p.windows(),
                 in_dim: self.input_dim(),
@@ -763,15 +909,7 @@ impl Layer {
                     .map(|z| {
                         let selected = windows
                             .iter()
-                            .map(|w| {
-                                let mut best = w[0];
-                                for &i in w {
-                                    if z[i] > z[best] {
-                                        best = i;
-                                    }
-                                }
-                                best
-                            })
+                            .map(|w| window_argmax(z, w.iter().copied()).1)
                             .collect();
                         ActivationLinearization::Selection { selected, in_dim }
                     })
@@ -827,17 +965,8 @@ impl Layer {
             Layer::Dense(d) => z.iter().map(|&x| d.activation.piece_index(x)).collect(),
             Layer::Conv2d(c) => z.iter().map(|&x| c.activation.piece_index(x)).collect(),
             Layer::MaxPool2d(p) => p
-                .flat_windows()
-                .iter()
-                .map(|w| {
-                    let mut best = 0usize;
-                    for (k, &i) in w.iter().enumerate() {
-                        if z[i] > z[w[best]] {
-                            best = k;
-                        }
-                    }
-                    best as i8
-                })
+                .window_iter()
+                .map(|w| window_argmax(z, w).0 as i8)
                 .collect(),
             Layer::AvgPool2d(_) => Vec::new(),
         }
@@ -856,16 +985,7 @@ impl Layer {
         );
         match self {
             Layer::Dense(d) => rows.matmul(&d.weights),
-            Layer::Conv2d(c) => {
-                let mut out = Matrix::zeros(rows.rows(), self.input_dim());
-                c.for_each_connection(|out_idx, w_idx, in_idx| {
-                    let w = c.weights[w_idx];
-                    for r in 0..rows.rows() {
-                        out[(r, in_idx)] += rows[(r, out_idx)] * w;
-                    }
-                });
-                out
-            }
+            Layer::Conv2d(c) => c.input_vjp(rows),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => rows.clone(),
         }
     }
@@ -908,29 +1028,7 @@ impl Layer {
                 }
                 out
             }
-            Layer::Conv2d(c) => {
-                let mut out = Matrix::zeros(rows.rows(), self.num_params());
-                let nw = c.weights.len();
-                c.for_each_connection(|out_idx, w_idx, in_idx| {
-                    let x = input[in_idx];
-                    for r in 0..rows.rows() {
-                        out[(r, w_idx)] += rows[(r, out_idx)] * x;
-                    }
-                });
-                // Bias connections: pre-activation (oc, oy, ox) depends on bias[oc].
-                let (oh, ow) = (c.out_height(), c.out_width());
-                for oc in 0..c.out_channels {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let out_idx = (oc * oh + oy) * ow + ox;
-                            for r in 0..rows.rows() {
-                                out[(r, nw + oc)] += rows[(r, out_idx)];
-                            }
-                        }
-                    }
-                }
-                out
-            }
+            Layer::Conv2d(c) => c.param_vjp(rows, input),
             Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => Matrix::zeros(rows.rows(), 0),
         }
     }
@@ -944,10 +1042,112 @@ fn elementwise_crossing(activation: Activation) -> CrossingSpec {
     }
 }
 
+/// The original per-connection convolution kernels, kept verbatim as the
+/// bit-for-bit oracle for the direct loops of [`Conv2dLayer`].
+#[cfg(test)]
+mod oracle {
+    use super::Conv2dLayer;
+    use prdnn_linalg::Matrix;
+
+    impl Conv2dLayer {
+        fn in_index(&self, c: usize, y: isize, x: isize) -> Option<usize> {
+            if y < 0 || x < 0 || y as usize >= self.in_height || x as usize >= self.in_width {
+                None
+            } else {
+                Some((c * self.in_height + y as usize) * self.in_width + x as usize)
+            }
+        }
+
+        /// Iterates over `(out_index, weight_index, in_index)` triples describing
+        /// the sparse linear structure of the convolution, calling `f` for each.
+        fn for_each_connection(&self, mut f: impl FnMut(usize, usize, usize)) {
+            let (oh, ow) = (self.out_height(), self.out_width());
+            for oc in 0..self.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let out_idx = (oc * oh + oy) * ow + ox;
+                        for ic in 0..self.in_channels {
+                            for ky in 0..self.kernel_h {
+                                for kx in 0..self.kernel_w {
+                                    let iy =
+                                        (oy * self.stride + ky) as isize - self.padding as isize;
+                                    let ix =
+                                        (ox * self.stride + kx) as isize - self.padding as isize;
+                                    if let Some(in_idx) = self.in_index(ic, iy, ix) {
+                                        f(out_idx, self.weight_index(oc, ic, ky, kx), in_idx);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The convolution pre-activation for one input.
+    pub fn preactivation(c: &Conv2dLayer, input: &[f64]) -> Vec<f64> {
+        let (oh, ow) = (c.out_height(), c.out_width());
+        let mut z = vec![0.0; c.out_channels * oh * ow];
+        for oc in 0..c.out_channels {
+            let b = c.bias[oc];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    z[(oc * oh + oy) * ow + ox] = b;
+                }
+            }
+        }
+        c.for_each_connection(|out_idx, w_idx, in_idx| {
+            z[out_idx] += c.weights[w_idx] * input[in_idx];
+        });
+        z
+    }
+
+    /// `rows · (∂z/∂input)`.
+    pub fn input_vjp(c: &Conv2dLayer, rows: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(rows.rows(), c.in_channels * c.in_height * c.in_width);
+        c.for_each_connection(|out_idx, w_idx, in_idx| {
+            let w = c.weights[w_idx];
+            for r in 0..rows.rows() {
+                out[(r, in_idx)] += rows[(r, out_idx)] * w;
+            }
+        });
+        out
+    }
+
+    /// `rows · (∂z/∂params)` at `input`.
+    pub fn param_vjp(c: &Conv2dLayer, rows: &Matrix, input: &[f64]) -> Matrix {
+        let mut out = Matrix::zeros(rows.rows(), c.weights.len() + c.bias.len());
+        let nw = c.weights.len();
+        c.for_each_connection(|out_idx, w_idx, in_idx| {
+            let x = input[in_idx];
+            for r in 0..rows.rows() {
+                out[(r, w_idx)] += rows[(r, out_idx)] * x;
+            }
+        });
+        // Bias connections: pre-activation (oc, oy, ox) depends on bias[oc].
+        let (oh, ow) = (c.out_height(), c.out_width());
+        for oc in 0..c.out_channels {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let out_idx = (oc * oh + oy) * ow + ox;
+                    for r in 0..rows.rows() {
+                        out[(r, nw + oc)] += rows[(r, out_idx)];
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use prdnn_linalg::approx_eq_slice;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn dense_example() -> Layer {
         Layer::dense(
@@ -1313,5 +1513,155 @@ mod tests {
         };
         let rows = Matrix::from_rows(&[vec![1.0, 1.0, 1.0]]);
         assert_eq!(lin.vjp(&rows), Matrix::from_rows(&[vec![0.0, 1.0, 2.0]]));
+    }
+
+    /// Mostly uniform values with exact and signed zeros mixed in: a sum
+    /// that starts from `-0.0` or `0.0` is where a reordered accumulation
+    /// would first show.
+    fn draw_value(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0..2.0),
+        }
+    }
+
+    fn draw_values(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| draw_value(rng)).collect()
+    }
+
+    /// A convolution with stride 1–2, padding 0–2, a 1×1, 3×3 or 5×3
+    /// kernel, a non-square input (possibly empty) that the padded kernel
+    /// fits, and 1–4 channels in and out, with random weights and bias.
+    fn random_conv(
+        stride: usize,
+        padding: usize,
+        kernel: usize,
+        (h, w): (usize, usize),
+        (in_channels, out_channels): (usize, usize),
+        rng: &mut StdRng,
+    ) -> Conv2dLayer {
+        let (kernel_h, kernel_w): (usize, usize) = [(1, 1), (3, 3), (5, 3)][kernel];
+        Conv2dLayer {
+            in_channels,
+            in_height: h.max(kernel_h.saturating_sub(2 * padding)),
+            in_width: w.max(kernel_w.saturating_sub(2 * padding)),
+            out_channels,
+            kernel_h,
+            kernel_w,
+            stride,
+            padding,
+            weights: draw_values(rng, out_channels * in_channels * kernel_h * kernel_w),
+            bias: draw_values(rng, out_channels),
+            activation: Activation::Relu,
+        }
+    }
+
+    fn assert_bits_eq(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{k}]: {g} vs {w}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The direct convolution loops agree with the per-connection
+        /// oracle on every bit: forward per point and batched, and both
+        /// VJPs with no upstream rows, one (training) and nine (the Task 1
+        /// Jacobian).
+        #[test]
+        fn conv_kernels_match_the_per_connection_oracle(
+            stride in 1usize..3,
+            padding in 0usize..3,
+            kernel in 0usize..3,
+            hw in (0usize..9, 0usize..9),
+            channels in (1usize..5, 1usize..5),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let conv = random_conv(stride, padding, kernel, hw, channels, &mut rng);
+            let layer = Layer::Conv2d(conv.clone());
+            let (in_dim, out_dim) = (layer.input_dim(), layer.output_dim());
+
+            let inputs: Vec<Vec<f64>> = (0..3).map(|_| draw_values(&mut rng, in_dim)).collect();
+            let batch = layer.preactivation_batch_flat(&FlatBatch::from_rows(in_dim, &inputs));
+            for (i, x) in inputs.iter().enumerate() {
+                let want = oracle::preactivation(&conv, x);
+                assert_bits_eq("preactivation", &layer.preactivation(x), &want);
+                assert_bits_eq("preactivation_batch_flat", batch.row(i), &want);
+            }
+
+            for r in [0, 1, 9] {
+                let rows = Matrix::from_flat(r, out_dim, draw_values(&mut rng, r * out_dim));
+                assert_bits_eq(
+                    "preact_input_vjp",
+                    layer.preact_input_vjp(&rows).as_slice(),
+                    oracle::input_vjp(&conv, &rows).as_slice(),
+                );
+                assert_bits_eq(
+                    "preact_param_vjp",
+                    layer.preact_param_vjp(&rows, &inputs[0]).as_slice(),
+                    oracle::param_vjp(&conv, &rows, &inputs[0]).as_slice(),
+                );
+            }
+        }
+
+        /// The per-point pooling paths, which walk the windows by index
+        /// arithmetic, agree with the batch paths, which share one
+        /// [`PoolWindows`] table, on overlapping and non-square windows.
+        #[test]
+        fn pooling_per_point_paths_match_the_window_table(
+            pool in (1usize..4, 1usize..4),
+            stride in 1usize..3,
+            hw in (0usize..5, 0usize..5),
+            channels in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = Pool2dLayer {
+                channels,
+                in_height: pool.0 + hw.0,
+                in_width: pool.1 + hw.1,
+                pool_h: pool.0,
+                pool_w: pool.1,
+                stride,
+            };
+            let table = p.flat_windows();
+            // Draws from a few values so windows often hold ties.
+            let zs: Vec<Vec<f64>> = (0..3)
+                .map(|_| {
+                    (0..channels * p.in_height * p.in_width)
+                        .map(|_| f64::from(rng.gen_range(-2i32..3)))
+                        .collect()
+                })
+                .collect();
+            let flat = FlatBatch::from_rows(zs[0].len(), &zs);
+            for layer in [Layer::MaxPool2d(p.clone()), Layer::AvgPool2d(p.clone())] {
+                let outs = layer.activate_batch_flat(&flat);
+                let lins = layer.linearize_activation_batch_flat(&flat);
+                for (i, z) in zs.iter().enumerate() {
+                    assert_bits_eq("activate", &layer.activate(z), outs.row(i));
+                    prop_assert_eq!(&layer.linearize_activation(z), &lins[i]);
+                }
+            }
+            let max = Layer::MaxPool2d(p);
+            for z in &zs {
+                let want: Vec<i8> = table
+                    .iter()
+                    .map(|w| {
+                        let mut best = 0usize;
+                        for (k, &i) in w.iter().enumerate() {
+                            if z[i] > z[w[best]] {
+                                best = k;
+                            }
+                        }
+                        best as i8
+                    })
+                    .collect();
+                prop_assert_eq!(max.activation_pattern(z), want);
+            }
+        }
     }
 }

@@ -79,12 +79,15 @@ pub fn backprop(net: &Network, input: &[f64], label: usize, loss: Loss) -> (f64,
         let z = &trace.preactivations[i];
         // dL/dz = upstream · D where D is the activation Jacobian at z.
         let lin = layer.linearize_activation(z);
-        let upstream_row = Matrix::from_flat(1, upstream.len(), upstream.clone());
+        let upstream_row = Matrix::from_flat(1, upstream.len(), std::mem::take(&mut upstream));
         let dz = lin.vjp(&upstream_row);
         // Parameter gradient: dL/dθ = dz · ∂z/∂θ.
         grads[i] = layer.preact_param_vjp(&dz, layer_input).into_flat();
         // Input gradient for the next (earlier) layer: dL/dx = dz · ∂z/∂x.
-        upstream = layer.preact_input_vjp(&dz).into_flat();
+        // The network input has no earlier layer to pass it to.
+        if i > 0 {
+            upstream = layer.preact_input_vjp(&dz).into_flat();
+        }
     }
     (loss_value, grads)
 }
