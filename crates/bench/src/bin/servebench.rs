@@ -84,10 +84,10 @@ use prdnn_core::{OutputPolytope, PointSpec, RepairConfig};
 use prdnn_serve::chaos::{ChaosConfig, ChaosProxy};
 use prdnn_serve::client::Client;
 use prdnn_serve::protocol::{ErrorKind, ModelRef};
+use prdnn_serve::scrape::Scrape;
 use prdnn_serve::server::{serve, ServerConfig, ServerHandle};
 use prdnn_serve::{RetryPolicy, RetryingClient};
 use serde::json::Value;
-use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -223,268 +223,6 @@ fn equation_2_like_spec(tweak: u64) -> PointSpec {
     spec
 }
 
-/// A parsed-and-linted Prometheus scrape: every sample keyed by its full
-/// name (labels included), every announced family keyed by bare name.
-struct Scrape {
-    samples: BTreeMap<String, f64>,
-    types: BTreeMap<String, String>,
-}
-
-/// `family_suffix` or `family_suffix{labels}` — the exposition name of
-/// one histogram component sample.
-fn suffixed(family: &str, suffix: &str, labels: &str) -> String {
-    if labels.is_empty() {
-        format!("{family}_{suffix}")
-    } else {
-        format!("{family}_{suffix}{{{labels}}}")
-    }
-}
-
-impl Scrape {
-    fn value(&self, name: &str) -> f64 {
-        *self
-            .samples
-            .get(name)
-            .unwrap_or_else(|| panic!("metrics scrape is missing {name}"))
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.value(name) as u64
-    }
-
-    /// The version label stamped on `prdnn_build_info`.
-    fn build_version(&self) -> String {
-        self.samples
-            .keys()
-            .find_map(|k| {
-                k.strip_prefix("prdnn_build_info{version=\"")
-                    .and_then(|rest| rest.strip_suffix("\"}"))
-            })
-            .expect("scrape has no prdnn_build_info sample")
-            .to_owned()
-    }
-
-    /// All of `family`'s series: label set (without `le`) → cumulative
-    /// buckets as (upper bound, cumulative count), sorted by bound.
-    fn histogram_series(&self, family: &str) -> BTreeMap<String, Vec<(f64, u64)>> {
-        let prefix = format!("{family}_bucket{{");
-        let mut series: BTreeMap<String, Vec<(f64, u64)>> = BTreeMap::new();
-        for (key, &value) in &self.samples {
-            let Some(inner) = key
-                .strip_prefix(&prefix)
-                .and_then(|rest| rest.strip_suffix('}'))
-            else {
-                continue;
-            };
-            let mut le = None;
-            let mut labels = Vec::new();
-            // Label values here never contain commas or escaped quotes,
-            // so a flat split is a faithful parse.
-            for part in inner.split(',') {
-                match part.strip_prefix("le=\"").and_then(|v| v.strip_suffix('"')) {
-                    Some(v) => le = Some(v.to_owned()),
-                    None => labels.push(part),
-                }
-            }
-            let le = le.unwrap_or_else(|| panic!("bucket sample without le: {key}"));
-            let le = if le == "+Inf" {
-                f64::INFINITY
-            } else {
-                le.parse()
-                    .unwrap_or_else(|_| panic!("unparsable le {le:?} in {key}"))
-            };
-            series
-                .entry(labels.join(","))
-                .or_default()
-                .push((le, value as u64));
-        }
-        for buckets in series.values_mut() {
-            buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        }
-        series
-    }
-
-    /// The inclusive upper bound (in the family's native unit — seconds
-    /// for latency families) of the bucket holding the rank-`ceil(q*n)`
-    /// value, mirroring the server's own quantile rule.
-    fn histogram_quantile(&self, family: &str, labels: &str, q: f64) -> f64 {
-        let series = self.histogram_series(family);
-        let buckets = series
-            .get(labels)
-            .unwrap_or_else(|| panic!("no histogram series {family}{{{labels}}}"));
-        let count = buckets.last().map(|&(_, cum)| cum).unwrap_or(0);
-        if count == 0 {
-            return 0.0;
-        }
-        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-        for &(le, cum) in buckets {
-            if cum >= rank && le.is_finite() {
-                return le;
-            }
-        }
-        // Only reachable if the rank falls in +Inf (values clamped past
-        // the histogram range); report the largest finite bound.
-        buckets
-            .iter()
-            .rev()
-            .find(|(le, _)| le.is_finite())
-            .map(|&(le, _)| le)
-            .unwrap_or(0.0)
-    }
-}
-
-/// Parses and lints one metrics exposition: every line well-formed,
-/// every sample family announced with HELP and TYPE, counters
-/// `_total`-suffixed and integral, histogram series internally
-/// consistent.  Panics (failing the bench) on the first violation.
-fn lint_scrape(text: &str) -> Scrape {
-    let mut types: BTreeMap<String, String> = BTreeMap::new();
-    let mut helps: BTreeSet<String> = BTreeSet::new();
-    let mut samples: BTreeMap<String, f64> = BTreeMap::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let (name, help) = rest
-                .split_once(' ')
-                .unwrap_or_else(|| panic!("malformed HELP line: {line:?}"));
-            assert!(
-                name.starts_with("prdnn_") && !help.is_empty(),
-                "malformed HELP line: {line:?}"
-            );
-            assert!(helps.insert(name.to_owned()), "duplicate HELP for {name}");
-        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest
-                .split_once(' ')
-                .unwrap_or_else(|| panic!("malformed TYPE line: {line:?}"));
-            assert!(
-                matches!(kind, "counter" | "gauge" | "histogram"),
-                "unknown TYPE {kind:?} for {name}"
-            );
-            assert!(name.starts_with("prdnn_"), "malformed TYPE line: {line:?}");
-            assert!(
-                types.insert(name.to_owned(), kind.to_owned()).is_none(),
-                "duplicate TYPE for {name}"
-            );
-        } else if line.starts_with('#') || line.is_empty() {
-            panic!("unexpected line in exposition: {line:?}");
-        } else {
-            let (name, value) = line
-                .rsplit_once(' ')
-                .unwrap_or_else(|| panic!("malformed sample line: {line:?}"));
-            let value: f64 = value
-                .parse()
-                .unwrap_or_else(|_| panic!("non-numeric sample value: {line:?}"));
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "sample value out of range: {line:?}"
-            );
-            assert!(
-                name.starts_with("prdnn_"),
-                "sample outside the prdnn_ namespace: {line:?}"
-            );
-            assert!(
-                samples.insert(name.to_owned(), value).is_none(),
-                "duplicate sample {name}"
-            );
-        }
-    }
-    assert!(
-        samples.len() >= 30,
-        "metrics scrape returned only {} samples",
-        samples.len()
-    );
-
-    // Every sample must resolve to an announced family of the right
-    // shape; every announced family must carry both comments.
-    for family in &helps {
-        assert!(
-            types.contains_key(family),
-            "family {family} has HELP but no TYPE"
-        );
-    }
-    for (name, value) in &samples {
-        let base = name.split('{').next().unwrap();
-        let family = if types.contains_key(base) {
-            base
-        } else {
-            let stripped = base
-                .strip_suffix("_bucket")
-                .or_else(|| base.strip_suffix("_sum"))
-                .or_else(|| base.strip_suffix("_count"))
-                .unwrap_or_else(|| panic!("sample {name} has no TYPE"));
-            assert_eq!(
-                types.get(stripped).map(String::as_str),
-                Some("histogram"),
-                "sample {name} is a histogram component of an unannounced family"
-            );
-            stripped
-        };
-        assert!(
-            helps.contains(family),
-            "family {family} has TYPE but no HELP"
-        );
-        if types[family] == "counter" {
-            assert!(
-                family.ends_with("_total"),
-                "counter {family} is missing the _total suffix"
-            );
-            assert_eq!(
-                value.fract(),
-                0.0,
-                "counter {name} is not integral: {value}"
-            );
-        }
-    }
-
-    let scrape = Scrape { samples, types };
-    let hist_families: Vec<String> = scrape
-        .types
-        .iter()
-        .filter(|(_, kind)| kind.as_str() == "histogram")
-        .map(|(name, _)| name.clone())
-        .collect();
-    assert!(
-        hist_families.len() >= 6,
-        "expected at least 6 histogram families, scrape exposes {}",
-        hist_families.len()
-    );
-    for family in &hist_families {
-        let series = scrape.histogram_series(family);
-        assert!(!series.is_empty(), "histogram {family} exported no series");
-        for (labels, buckets) in &series {
-            let (last_le, last_cum) = *buckets.last().unwrap();
-            assert!(
-                last_le.is_infinite(),
-                "{family}{{{labels}}}: no +Inf bucket"
-            );
-            let count = scrape.counter(&suffixed(family, "count", labels));
-            assert_eq!(
-                last_cum, count,
-                "{family}{{{labels}}}: +Inf bucket disagrees with _count"
-            );
-            let mut prev = (f64::NEG_INFINITY, 0u64);
-            for &(le, cum) in buckets {
-                assert!(
-                    le > prev.0,
-                    "{family}{{{labels}}}: bucket bounds not strictly increasing"
-                );
-                assert!(
-                    cum >= prev.1,
-                    "{family}{{{labels}}}: cumulative counts decreased at le={le}"
-                );
-                prev = (le, cum);
-            }
-            let sum = scrape.value(&suffixed(family, "sum", labels));
-            if count == 0 {
-                assert_eq!(
-                    sum, 0.0,
-                    "{family}{{{labels}}}: empty series with nonzero _sum"
-                );
-            }
-        }
-    }
-    scrape
-}
-
 /// Invariants tying histogram counts to the server's own request
 /// counters.  Exact equalities hold only once the request planes have
 /// quiesced (all bench clients joined); repair jobs and their WAL
@@ -492,7 +230,7 @@ fn lint_scrape(text: &str) -> Scrape {
 /// and WAL families are checked as inequalities whose direction is safe
 /// under concurrent settling.
 fn cross_check(s: &Scrape) {
-    let hist = |family: &str, labels: &str| s.counter(&suffixed(family, "count", labels));
+    let hist = |family: &str, labels: &str| s.histogram_count(family, labels);
     assert_eq!(
         hist("prdnn_request_seconds", "kind=\"eval\""),
         s.counter("prdnn_eval_requests_total"),
@@ -551,16 +289,17 @@ fn cross_check(s: &Scrape) {
 /// cross-counter checks ([`cross_check`]) are the caller's to apply —
 /// they assume a quiesced server.
 fn scrape_metrics(client: &mut Client) -> Scrape {
-    let text = client.metrics().expect("metrics request");
-    lint_scrape(&text)
+    client
+        .scrape()
+        .unwrap_or_else(|e| panic!("metrics scrape: {e}"))
 }
 
 /// One stage's report block: sample count plus mean/p50/p99 derived
 /// from the scrape's histogram.  Latency stages are in milliseconds;
 /// `gulp_size` stays in items.
 fn stage_json(s: &Scrape, family: &str, labels: &str, seconds: bool) -> Value {
-    let count = s.counter(&suffixed(family, "count", labels));
-    let sum = s.value(&suffixed(family, "sum", labels));
+    let count = s.histogram_count(family, labels);
+    let sum = s.histogram_sum(family, labels);
     let scale = if seconds { 1e3 } else { 1.0 };
     Value::obj([
         ("count", Value::Num(count as f64)),
@@ -621,7 +360,14 @@ fn stages_json(s: &Scrape) -> Value {
 /// The scrape-derived provenance block stamped into every mix report.
 fn server_json(s: &Scrape, slow_ms: u64) -> Value {
     Value::obj([
-        ("build_version", Value::Str(s.build_version())),
+        (
+            "build_version",
+            Value::Str(
+                s.build_version()
+                    .expect("scrape has no prdnn_build_info sample")
+                    .to_owned(),
+            ),
+        ),
         ("uptime_s", Value::Num(s.value("prdnn_uptime_seconds"))),
         ("slow_ms", Value::Num(slow_ms as f64)),
     ])
@@ -780,11 +526,6 @@ fn run_mix(
             .list_versions("bench-repair")
             .map(|v| v.len() as u64 - 1)
             .unwrap_or(0);
-        let stats = client.stats().ok();
-        let gulp_stats = stats
-            .as_ref()
-            .map(|s| (s.gulps, s.gulp_items, s.max_gulp))
-            .unwrap_or((0, 0, 0));
         // Every mix doubles as a metrics-scrape check: malformed
         // exposition text fails the bench, not just some dashboard.  On
         // an in-process server the request planes have quiesced, so the
@@ -793,6 +534,11 @@ fn run_mix(
         if own_server.is_some() {
             cross_check(&scrape);
         }
+        let gulp_stats = (
+            scrape.counter("prdnn_gulps_total"),
+            scrape.counter("prdnn_gulp_items_total"),
+            scrape.counter("prdnn_max_gulp_total"),
+        );
         let slow_traces = client.trace().expect("trace request");
         if own_server.is_some() && effective_slow_ms == 0 {
             assert_eq!(
@@ -810,8 +556,8 @@ fn run_mix(
         // Durability epilogue: cold-start a fresh server on the same
         // directory and time how long recovery (which runs before the
         // bind returns) takes to bring every published version back.
-        let durability = match (store_dir, owned, stats) {
-            (Some(dir), true, Some(stats)) => {
+        let durability = match (store_dir, owned) {
+            (Some(dir), true) => {
                 let t0 = Instant::now();
                 let handle = serve(ServerConfig {
                     addr: "127.0.0.1:0".to_owned(),
@@ -821,23 +567,24 @@ fn run_mix(
                 .expect("recovery bind");
                 let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let mut probe = Client::connect(handle.addr()).expect("connect for recovery");
-                let after = probe.stats().expect("recovery stats");
+                let after = scrape_metrics(&mut probe);
+                let recovered_versions = after.counter("prdnn_recovered_versions_total");
                 assert!(
-                    after.recovered_versions > published,
+                    recovered_versions > published,
                     "recovery lost versions: {} recovered, {} published",
-                    after.recovered_versions,
+                    recovered_versions,
                     published + 1
                 );
                 probe.shutdown_server().expect("recovery shutdown");
                 drop(probe);
                 handle.join().expect("recovery drain");
                 Some(DurabilityReport {
-                    wal_appends: stats.wal_appends,
-                    wal_bytes: stats.wal_bytes,
-                    snapshots: stats.snapshots,
+                    wal_appends: scrape.counter("prdnn_wal_appends_total"),
+                    wal_bytes: scrape.counter("prdnn_wal_bytes_total"),
+                    snapshots: scrape.counter("prdnn_snapshots_total"),
                     recovery_ms,
-                    recovered_versions: after.recovered_versions,
-                    recovered_wal_records: after.recovered_wal_records,
+                    recovered_versions,
+                    recovered_wal_records: after.counter("prdnn_recovered_wal_records_total"),
                 })
             }
             _ => None,
@@ -850,8 +597,7 @@ fn run_mix(
     // from the send — residence is a strict subset of what the client
     // sees (wire + serde on top).  The slack covers bucket resolution
     // (~3%) and scheduler noise on loaded CI hosts.
-    let eval_hist_count =
-        scrape.counter(&suffixed("prdnn_request_seconds", "count", "kind=\"eval\""));
+    let eval_hist_count = scrape.histogram_count("prdnn_request_seconds", "kind=\"eval\"");
     if eval_send_ms.len() >= 50 && eval_hist_count > 0 {
         let client_p50 = percentile(&eval_send_ms, 0.50);
         let server_p50 =
@@ -981,15 +727,11 @@ fn run_cached_mix(args: &Args) -> Value {
     let per_client = ((args.rate * args.secs.max(1)) as usize / args.clients).max(32) as u64;
     let start = Instant::now();
     let miss_latencies = cached_phase(addr, args.clients, per_client, cached_cold_payload);
-    let mid = Client::connect(addr)
-        .expect("connect for mid stats")
-        .stats()
-        .expect("mid stats");
+    let mid = scrape_metrics(&mut Client::connect(addr).expect("connect for mid scrape"));
     let hit_latencies = cached_phase(addr, args.clients, per_client * 4, cached_hot_payload);
     let elapsed = start.elapsed();
 
     let mut teardown = Client::connect(addr).expect("connect for teardown");
-    let stats = teardown.stats().expect("server stats");
     let scrape = scrape_metrics(&mut teardown);
     if own_server.is_some() {
         cross_check(&scrape);
@@ -1000,8 +742,9 @@ fn run_cached_mix(args: &Args) -> Value {
         handle.join().expect("server drain");
     }
 
-    let hot_hits = stats.cache_hits - mid.cache_hits;
-    let hot_total = hot_hits + (stats.cache_misses - mid.cache_misses);
+    let delta = |name: &str| scrape.counter(name) - mid.counter(name);
+    let hot_hits = delta("prdnn_cache_hits_total");
+    let hot_total = hot_hits + delta("prdnn_cache_misses_total");
     let hit_rate_hot = hot_hits as f64 / hot_total.max(1) as f64;
     let miss_p50 = percentile(&miss_latencies, 0.50);
     let hit_p50 = percentile(&hit_latencies, 0.50);
@@ -1034,14 +777,17 @@ fn run_cached_mix(args: &Args) -> Value {
         ("hit_rate_hot", Value::Num(hit_rate_hot)),
         (
             "cache",
-            Value::obj([
-                ("hits", Value::Num(stats.cache_hits as f64)),
-                ("misses", Value::Num(stats.cache_misses as f64)),
-                ("inserts", Value::Num(stats.cache_inserts as f64)),
-                ("evictions", Value::Num(stats.cache_evictions as f64)),
-                ("fill_skips", Value::Num(stats.cache_fill_skips as f64)),
-                ("bytes", Value::Num(stats.cache_bytes as f64)),
-            ]),
+            Value::obj(
+                [
+                    ("hits", "prdnn_cache_hits_total"),
+                    ("misses", "prdnn_cache_misses_total"),
+                    ("inserts", "prdnn_cache_inserts_total"),
+                    ("evictions", "prdnn_cache_evictions_total"),
+                    ("fill_skips", "prdnn_cache_fill_skips_total"),
+                    ("bytes", "prdnn_cache_bytes"),
+                ]
+                .map(|(key, metric)| (key, Value::Num(scrape.value(metric)))),
+            ),
         ),
         (
             "latency_ms",
@@ -1224,10 +970,9 @@ fn run_chaos_regime(regime: &'static str, args: &Args, config: ChaosConfig) -> C
     let elapsed = start.elapsed();
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-    // Stats and shutdown over a *direct* connection — the report must not
-    // depend on a stats frame surviving the proxy.
+    // Scrape and shutdown over a *direct* connection — the report must not
+    // depend on a metrics frame surviving the proxy.
     let mut teardown = Client::connect(handle.addr()).expect("connect for teardown");
-    let stats = teardown.stats().expect("server stats");
     let scrape = scrape_metrics(&mut teardown);
     teardown.shutdown_server().expect("shutdown");
     drop(teardown);
@@ -1251,8 +996,10 @@ fn run_chaos_regime(regime: &'static str, args: &Args, config: ChaosConfig) -> C
         retries,
         reconnects,
         giveups,
-        sheds: stats.batch_shed + stats.jobs_shed + stats.conns_rejected,
-        io_timeouts: stats.io_timeouts,
+        sheds: scrape.counter("prdnn_batch_shed_total")
+            + scrape.counter("prdnn_jobs_shed_total")
+            + scrape.counter("prdnn_conns_rejected_total"),
+        io_timeouts: scrape.counter("prdnn_io_timeouts_total"),
         proxy: proxy_counts,
         latencies_ms,
         scrape,

@@ -107,8 +107,7 @@ pub struct RepairStats {
     pub delta_linf: f64,
     /// Simplex pivots the repair LP took: the dual simplex's pivots and
     /// bound flips on the default path (0 only when `Δ = 0` already
-    /// satisfies the spec), the revised backend's pivots, or 0 when an
-    /// explicit `DenseTableau` ran (it is uninstrumented).
+    /// satisfies the spec), or the revised or dense backend's pivots.
     pub lp_pivots: u64,
     /// Basis refactorisations during the repair LP solve.
     pub lp_refactorizations: u64,

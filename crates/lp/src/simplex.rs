@@ -11,6 +11,8 @@
 //! phase-1 → phase-2 transition compacts the artificial columns away in
 //! place instead of rebuilding per-row vectors.
 
+use crate::solver::LpStats;
+
 /// A standard-form LP: `min c·x  s.t.  A x = b, x ≥ 0` with `b ≥ 0`.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm {
@@ -195,8 +197,15 @@ pub(crate) fn pivot_rows(data: &mut [f64], stride: usize, row: usize, col: usize
 /// sum; phase 2 optimises the real objective after driving the artificials
 /// out of the basis.  Dantzig pricing is used until a run of degenerate
 /// pivots is detected, at which point Bland's rule takes over to guarantee
-/// termination.
-pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutcome {
+/// termination.  The [`LpStats`] count both phases' pivots (never a
+/// refactorisation: the tableau has no basis factors).
+pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> (SimplexOutcome, LpStats) {
+    let mut stats = LpStats::default();
+    let outcome = solve_counted(sf, max_iters, &mut stats);
+    (outcome, stats)
+}
+
+fn solve_counted(sf: &StandardForm, max_iters: usize, stats: &mut LpStats) -> SimplexOutcome {
     let m = sf.a.len();
     let n = if m == 0 { sf.c.len() } else { sf.a[0].len() };
     debug_assert!(sf.a.iter().all(|row| row.len() == n));
@@ -263,7 +272,7 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
                 }
             }
         }
-        match run_pivots(&mut tab, &mut basis, &mut iters_left, Some(n)) {
+        match run_pivots(&mut tab, &mut basis, &mut iters_left, Some(n), stats) {
             PivotRun::Unbounded => return SimplexOutcome::Unbounded,
             PivotRun::IterationLimit => return SimplexOutcome::IterationLimit,
             PivotRun::Optimal => {}
@@ -311,7 +320,7 @@ pub(crate) fn solve_standard(sf: &StandardForm, max_iters: usize) -> SimplexOutc
             }
         }
     }
-    match run_pivots(&mut tab, &mut basis, &mut iters_left, None) {
+    match run_pivots(&mut tab, &mut basis, &mut iters_left, None, stats) {
         PivotRun::Unbounded => return SimplexOutcome::Unbounded,
         PivotRun::IterationLimit => return SimplexOutcome::IterationLimit,
         PivotRun::Optimal => {}
@@ -335,12 +344,14 @@ enum PivotRun {
 
 /// Runs pivots until optimality.  If `restrict_entering` is `Some(k)`, only
 /// columns `< k` may enter the basis (used in phase 1 to let real columns
-/// replace artificials, and to forbid artificials re-entering).
+/// replace artificials, and to forbid artificials re-entering).  Every
+/// pivot is counted in `stats`.
 fn run_pivots(
     tab: &mut Tableau,
     basis: &mut [usize],
     iters_left: &mut usize,
     restrict_entering: Option<usize>,
+    stats: &mut LpStats,
 ) -> PivotRun {
     let rhs = tab.width();
     let entering_limit = restrict_entering.unwrap_or(rhs);
@@ -392,9 +403,12 @@ fn run_pivots(
         };
         if best_ratio < PIVOT_EPS {
             degenerate_streak += 1;
+            stats.degenerate_pivots += 1;
         } else {
             degenerate_streak = 0;
         }
+        stats.pivots += 1;
+        stats.bland_pivots += u64::from(use_bland);
         tab.pivot(l, e);
         basis[l] = e;
     }
@@ -405,7 +419,7 @@ mod tests {
     use super::*;
 
     fn optimal(sf: &StandardForm) -> (Vec<f64>, f64) {
-        match solve_standard(sf, 10_000) {
+        match solve_standard(sf, 10_000).0 {
             SimplexOutcome::Optimal { x, objective } => (x, objective),
             other => panic!("expected optimal, got {:?}", other),
         }
@@ -440,7 +454,7 @@ mod tests {
             c: vec![0.0],
         };
         assert!(matches!(
-            solve_standard(&sf, 1000),
+            solve_standard(&sf, 1000).0,
             SimplexOutcome::Infeasible
         ));
     }
@@ -454,7 +468,7 @@ mod tests {
             c: vec![-1.0, -1.0],
         };
         assert!(matches!(
-            solve_standard(&sf, 1000),
+            solve_standard(&sf, 1000).0,
             SimplexOutcome::Unbounded
         ));
     }
@@ -495,7 +509,7 @@ mod tests {
             c: vec![-1.0],
         };
         assert!(matches!(
-            solve_standard(&sf2, 10),
+            solve_standard(&sf2, 10).0,
             SimplexOutcome::Unbounded
         ));
     }

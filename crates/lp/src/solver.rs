@@ -50,10 +50,10 @@ pub struct Solution {
 ///
 /// The dual simplex (the default path of every repair LP) fills `pivots`,
 /// `bland_pivots` and `degenerate_pivots`, counting a bound flip as a
-/// pivot; it never refactorises.  The revised sparse backend fills every
-/// field.  The dense tableau has no instrumentation, so an explicit
-/// `DenseTableau` solve (or the revised backend's breakdown fallback)
-/// reports zero pivots.  A dual solve that falls back adds the primal
+/// pivot; it never refactorises.  The dense tableau (an explicit
+/// `DenseTableau` solve, or the revised backend's breakdown fallback)
+/// fills the same three.  The revised sparse backend fills every field.
+/// A dual solve that falls back adds the primal
 /// solve's counters to its own.  ℓ∞ objectives are lowered to a single
 /// augmented solve, whose counters carry through unchanged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -319,20 +319,12 @@ fn solve_primal(
     };
     let (outcome, stats) = if use_revised {
         // `None` is a numerical breakdown in the revised backend; the dense
-        // tableau is the robust (uninstrumented) fallback.
+        // tableau is the robust fallback.
         solve_standard_sparse_with_stats(&sf, options.max_iters, options.pricing.resolve())
             .map(|(outcome, stats)| (outcome, LpStats::from(stats)))
-            .unwrap_or_else(|| {
-                (
-                    solve_standard(&sf.to_dense(), options.max_iters),
-                    LpStats::default(),
-                )
-            })
+            .unwrap_or_else(|| solve_standard(&sf.to_dense(), options.max_iters))
     } else {
-        (
-            solve_standard(&sf.to_dense(), options.max_iters),
-            LpStats::default(),
-        )
+        solve_standard(&sf.to_dense(), options.max_iters)
     };
     match outcome {
         SimplexOutcome::Optimal { x, objective } => {
@@ -720,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_with_stats_counts_revised_pivots_and_zeroes_dense() {
+    fn solve_with_stats_counts_revised_and_dense_pivots() {
         // A wide block-sparse program the revised backend must pivot on.
         let mut wide = LpProblem::new();
         let vars = wide.add_vars(128, VarKind::Free);
@@ -737,14 +729,16 @@ mod tests {
         assert!((solution.objective - 16.0).abs() < 1e-6);
         assert!(stats.pivots > 0, "revised solve must report pivot work");
 
-        // The dense tableau is uninstrumented: all-zero stats, same optimum.
+        // The dense tableau counts its pivots too (it never refactorises),
+        // and reaches the same optimum.
         let dense = SolveOptions {
             backend: LpBackend::DenseTableau,
             ..SolveOptions::default()
         };
         let (dense_solution, dense_stats) = solve_with_stats(&wide, &dense).unwrap();
         assert!((dense_solution.objective - solution.objective).abs() < 1e-6);
-        assert_eq!(dense_stats, LpStats::default());
+        assert!(dense_stats.pivots > 0, "dense solve must report pivot work");
+        assert_eq!(dense_stats.refactorizations, 0);
 
         // ℓ∞ lowering carries the augmented solve's counters through.
         let mut linf = LpProblem::new();

@@ -79,7 +79,8 @@ struct BatchState {
     shutdown: bool,
 }
 
-/// Counters exposed through the `stats` request.
+/// Counters exported by the `metrics` endpoint (one `METRICS` row each in
+/// `server.rs`).
 #[derive(Debug, Default)]
 pub struct BatchCounters {
     /// `eval` items accepted.

@@ -162,7 +162,7 @@ fn payload_bytes(data: &ReplyData) -> usize {
     }
 }
 
-/// Cache counters, exposed through `stats` and the metrics endpoint.
+/// Cache counters, exported by the `metrics` endpoint.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
     /// Probes answered from the cache (the pool never ran).

@@ -4,8 +4,9 @@
 
 use crate::protocol::{
     embed_request_id, read_frame, request_id_of, write_frame, ErrorKind, JobState, ModelRef,
-    RegionWire, Request, Response, ServerStats, VersionInfo,
+    RegionWire, Request, Response, VersionInfo,
 };
+use crate::scrape::Scrape;
 use prdnn_core::{PointSpec, RepairConfig};
 use serde::json::Value;
 use std::io;
@@ -26,7 +27,8 @@ pub enum ClientError {
         /// Server's backoff hint for retryable errors, when it sent one.
         retry_after_ms: Option<u64>,
     },
-    /// The server answered with a response of the wrong type.
+    /// The server answered with a response of the wrong type (or a
+    /// `metrics` document that fails [`Scrape::parse`]).
     UnexpectedResponse(String),
 }
 
@@ -363,20 +365,8 @@ impl Client {
         }
     }
 
-    /// Reads the server's counters.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.expect(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(unexpected("stats", &other)),
-        }
-    }
-
-    /// Reads the server's counters rendered as Prometheus text exposition
-    /// format (the same numbers as [`Client::stats`], for scrapers).
+    /// Reads every counter, gauge and latency histogram as Prometheus text
+    /// exposition format; [`Client::scrape`] parses it.
     ///
     /// # Errors
     ///
@@ -386,6 +376,16 @@ impl Client {
             Response::Metrics { text } => Ok(text),
             other => Err(unexpected("metrics", &other)),
         }
+    }
+
+    /// Reads the `metrics` exposition and parses it with [`Scrape::parse`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Client::request`]; an exposition that fails the lint is
+    /// [`ClientError::UnexpectedResponse`].
+    pub fn scrape(&mut self) -> Result<Scrape, ClientError> {
+        Scrape::parse(&self.metrics()?).map_err(ClientError::UnexpectedResponse)
     }
 
     /// Fetches the server's retained slow-request traces as structured

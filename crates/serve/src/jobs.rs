@@ -91,7 +91,8 @@ struct JobsInner {
     shutdown: bool,
 }
 
-/// Counters exposed through the `stats` request.
+/// Counters exported by the `metrics` endpoint (one `METRICS` row each in
+/// `server.rs`).
 #[derive(Debug, Default)]
 pub struct JobCounters {
     /// Jobs accepted into the queue.
@@ -538,8 +539,7 @@ mod tests {
             assert_eq!(v.source, format!("repair of n1@v{}", v.version - 1));
         }
         // LP accounting: the queue's totals equal the sum over published
-        // provenances (zero pivots is legitimate — tiny LPs route to the
-        // uninstrumented dense backend — but the sums must agree).
+        // provenances.
         let expected: u64 = versions[1..]
             .iter()
             .map(|v| v.provenance.as_ref().unwrap().lp_pivots)

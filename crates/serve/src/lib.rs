@@ -112,6 +112,7 @@ pub mod faults;
 pub mod jobs;
 pub mod protocol;
 pub mod retry;
+pub mod scrape;
 pub mod server;
 pub mod store;
 pub mod telemetry;

@@ -6,7 +6,7 @@
 //! [`RetryingClient`] applies it over [`Client`] with the crate's error
 //! contract (see the crate docs):
 //!
-//! * **Idempotent reads** (`eval`, `lin_regions`, `job_status`, `stats`,
+//! * **Idempotent reads** (`eval`, `lin_regions`, `job_status`,
 //!   `list_models`) retry on transport errors (reconnecting first) and on
 //!   typed `overloaded` / `unavailable` responses, honouring any
 //!   `retry_after_ms` hint the server attached.
@@ -21,7 +21,7 @@
 
 use crate::client::{Client, ClientError};
 use crate::faults::splitmix64;
-use crate::protocol::{ErrorKind, JobState, ModelRef, RegionWire, ServerStats};
+use crate::protocol::{ErrorKind, JobState, ModelRef, RegionWire};
 use prdnn_core::{PointSpec, RepairConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -239,15 +239,6 @@ impl RetryingClient {
     /// See [`RetryingClient::eval`].
     pub fn job_status(&mut self, job: u64, budget: Duration) -> Result<JobState, ClientError> {
         self.retry_read(budget, |c| c.job_status(job))
-    }
-
-    /// [`Client::stats`] with retries.
-    ///
-    /// # Errors
-    ///
-    /// See [`RetryingClient::eval`].
-    pub fn server_stats(&mut self, budget: Duration) -> Result<ServerStats, ClientError> {
-        self.retry_read(budget, |c| c.stats())
     }
 
     /// [`Client::list_models`] with retries.

@@ -24,10 +24,10 @@ use crate::cache::{ResultCache, DEFAULT_CACHE_BYTES};
 use crate::jobs::JobQueue;
 use crate::protocol::{
     embed_request_id, read_frame_timed, request_id_of, write_frame, ErrorKind, FrameError,
-    RegionWire, Request, Response, ServerStats, VersionInfo,
+    RegionWire, Request, Response, VersionInfo,
 };
 use crate::store::{ModelStore, ModelVersion, StoreError};
-use crate::telemetry::{self, Outcome, Stage, Telemetry};
+use crate::telemetry::{self, MetricKind::*, MetricRow, Outcome, Stage, Telemetry};
 use prdnn_core::DecoupledNetwork;
 use std::collections::HashMap;
 use std::io;
@@ -67,7 +67,7 @@ pub struct ServerConfig {
     pub snapshot_every: u64,
     /// Per-connection socket read/write timeout in milliseconds (`0` =
     /// none).  A peer that stalls mid-frame longer than this is counted in
-    /// [`ServerStats::io_timeouts`] and its connection-cap slot is freed —
+    /// `prdnn_io_timeouts_total` and its connection-cap slot is freed —
     /// the slowloris defense.
     pub io_timeout_ms: u64,
     /// Deterministic WAL fault-injection spec (see
@@ -133,6 +133,57 @@ struct Shared {
     handler_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
+/// Every counter and gauge the `metrics` endpoint exports, in exposition
+/// order: one `(name, help, kind, read)` row each.  The atomics stay in the
+/// subsystem that increments them; adding a metric is that atomic plus
+/// its row here.  Renamed rows break the scrapers (`perfbench`,
+/// `servebench`), and the e2e suite pins every name.
+#[rustfmt::skip]
+const METRICS: &[MetricRow<Shared>] = &[
+    ("eval_requests", "eval requests answered", Counter, |s| load(&s.batcher.counters.eval_requests)),
+    ("eval_batches", "batched forward calls executed", Counter, |s| load(&s.batcher.counters.eval_batches)),
+    ("eval_points", "input points evaluated", Counter, |s| load(&s.batcher.counters.eval_points)),
+    ("lin_requests", "lin_regions requests answered", Counter, |s| load(&s.batcher.counters.lin_requests)),
+    ("lin_batches", "batched lin_regions calls executed", Counter, |s| load(&s.batcher.counters.lin_batches)),
+    ("lin_polytopes", "polytopes decomposed", Counter, |s| load(&s.batcher.counters.lin_polytopes)),
+    ("gulps", "non-empty batch queue drains", Counter, |s| load(&s.batcher.counters.gulps)),
+    ("gulp_items", "items drained across all gulps", Counter, |s| load(&s.batcher.counters.gulp_items)),
+    ("max_gulp", "largest single gulp observed", Counter, |s| load(&s.batcher.counters.max_gulp)),
+    ("jobs_submitted", "repair jobs accepted", Counter, |s| load(&s.jobs.counters.submitted)),
+    ("jobs_completed", "repair jobs completed", Counter, |s| load(&s.jobs.counters.completed)),
+    ("jobs_failed", "repair jobs failed", Counter, |s| load(&s.jobs.counters.failed)),
+    ("repair_queue_depth", "repair jobs currently queued", Gauge, |s| s.jobs.queue_depth()),
+    ("repair_in_flight", "repair jobs currently executing", Gauge, |s| s.jobs.in_flight()),
+    ("wal_appends", "WAL records appended and fsynced", Counter, |s| s.store.log_stats().wal_appends),
+    ("wal_bytes", "bytes appended to the WAL", Counter, |s| s.store.log_stats().wal_bytes),
+    ("snapshots", "snapshot/compaction cycles", Counter, |s| s.store.log_stats().snapshots),
+    ("recovered_versions", "versions recovered at cold start", Counter, |s| s.store.log_stats().recovered_versions),
+    ("recovered_wal_records", "WAL tail records replayed at cold start", Counter, |s| s.store.log_stats().recovered_wal_records),
+    ("torn_tail_bytes", "WAL tail bytes dropped during recovery", Counter, |s| s.store.log_stats().torn_tail_bytes),
+    ("wal_failed_appends", "WAL appends that failed and rolled back", Counter, |s| s.store.log_stats().wal_failed_appends),
+    ("conns_opened", "connections accepted", Counter, |s| load(&s.conns_opened)),
+    ("conns_rejected", "connections rejected at the cap", Counter, |s| load(&s.conns_rejected)),
+    ("open_connections", "connections currently open", Gauge, |s| s.conn_count.load(Ordering::SeqCst) as u64),
+    ("io_timeouts", "connections closed on socket timeout", Counter, |s| load(&s.io_timeouts)),
+    ("batch_shed", "batch requests shed as overloaded", Counter, |s| load(&s.batcher.counters.shed)),
+    ("jobs_shed", "repair jobs shed as overloaded", Counter, |s| load(&s.jobs.counters.shed)),
+    ("cache_hits", "result cache hits", Counter, |s| load(&s.cache.counters.hits)),
+    ("cache_misses", "result cache misses", Counter, |s| load(&s.cache.counters.misses)),
+    ("cache_inserts", "result cache inserts", Counter, |s| load(&s.cache.counters.inserts)),
+    ("cache_evictions", "result cache evictions", Counter, |s| load(&s.cache.counters.evictions)),
+    ("cache_fill_skips", "cache fills skipped for expired deadlines", Counter, |s| load(&s.cache.counters.fill_skips)),
+    ("cache_bytes", "payload bytes held by the result cache", Gauge, |s| s.cache.bytes()),
+    ("cache_entries", "entries resident in the result cache", Gauge, |s| s.cache.entries()),
+    ("deadline_expired", "requests expired before execution", Counter, |s| load(&s.batcher.counters.deadline_expired)),
+    ("lin_rescue_calls", "per-polytope lin_regions rescue re-runs", Counter, |s| load(&s.batcher.counters.lin_rescue_calls)),
+    ("lp_pivots", "simplex pivots across completed repairs", Counter, |s| load(&s.jobs.counters.lp_pivots)),
+    ("lp_refactorizations", "LP basis refactorisations across completed repairs", Counter, |s| load(&s.jobs.counters.lp_refactorizations)),
+];
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
 /// Lock poisoning on the connection bookkeeping recovers the guard: the
 /// maps stay structurally valid across a handler panic (inserts/removes
 /// are atomic at `HashMap` granularity), and wedging the accept loop over
@@ -146,53 +197,6 @@ impl Shared {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             // Wake the accept loop with a throwaway connection.
             let _ = TcpStream::connect(self.addr);
-        }
-    }
-
-    fn stats(&self) -> ServerStats {
-        let b = &self.batcher.counters;
-        let c = &self.cache.counters;
-        let j = &self.jobs.counters;
-        let l = self.store.log_stats();
-        ServerStats {
-            eval_requests: b.eval_requests.load(Ordering::Relaxed),
-            eval_batches: b.eval_batches.load(Ordering::Relaxed),
-            eval_points: b.eval_points.load(Ordering::Relaxed),
-            lin_requests: b.lin_requests.load(Ordering::Relaxed),
-            lin_batches: b.lin_batches.load(Ordering::Relaxed),
-            lin_polytopes: b.lin_polytopes.load(Ordering::Relaxed),
-            gulps: b.gulps.load(Ordering::Relaxed),
-            gulp_items: b.gulp_items.load(Ordering::Relaxed),
-            max_gulp: b.max_gulp.load(Ordering::Relaxed),
-            jobs_submitted: j.submitted.load(Ordering::Relaxed),
-            jobs_completed: j.completed.load(Ordering::Relaxed),
-            jobs_failed: j.failed.load(Ordering::Relaxed),
-            repair_queue_depth: self.jobs.queue_depth(),
-            repair_in_flight: self.jobs.in_flight(),
-            wal_appends: l.wal_appends,
-            wal_bytes: l.wal_bytes,
-            snapshots: l.snapshots,
-            recovered_versions: l.recovered_versions,
-            recovered_wal_records: l.recovered_wal_records,
-            torn_tail_bytes: l.torn_tail_bytes,
-            wal_failed_appends: l.wal_failed_appends,
-            conns_opened: self.conns_opened.load(Ordering::Relaxed),
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            open_connections: self.conn_count.load(Ordering::SeqCst) as u64,
-            io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
-            batch_shed: b.shed.load(Ordering::Relaxed),
-            jobs_shed: j.shed.load(Ordering::Relaxed),
-            cache_hits: c.hits.load(Ordering::Relaxed),
-            cache_misses: c.misses.load(Ordering::Relaxed),
-            cache_inserts: c.inserts.load(Ordering::Relaxed),
-            cache_evictions: c.evictions.load(Ordering::Relaxed),
-            cache_fill_skips: c.fill_skips.load(Ordering::Relaxed),
-            cache_bytes: self.cache.bytes(),
-            cache_entries: self.cache.entries(),
-            deadline_expired: b.deadline_expired.load(Ordering::Relaxed),
-            lin_rescue_calls: b.lin_rescue_calls.load(Ordering::Relaxed),
-            lp_pivots: j.lp_pivots.load(Ordering::Relaxed),
-            lp_refactorizations: j.lp_refactorizations.load(Ordering::Relaxed),
         }
     }
 }
@@ -785,9 +789,8 @@ fn handle_request(
                     .collect(),
             ),
         },
-        Request::Stats => Response::Stats(shared.stats()),
         Request::Metrics => Response::Metrics {
-            text: shared.telemetry.render_prometheus(&shared.stats()),
+            text: shared.telemetry.render_prometheus(METRICS, &**shared),
         },
         Request::Trace => Response::Trace {
             slow: shared.telemetry.slow_traces_json(),

@@ -30,7 +30,6 @@
 //! discipline (odd = write in progress) so a reader never observes a torn
 //! span; a span overwritten mid-read is simply skipped.
 
-use crate::protocol::ServerStats;
 use serde::json::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -59,6 +58,20 @@ type Family<'a> = (
     bool,
     Vec<(String, &'a Histogram)>,
 );
+
+/// Whether a [`MetricRow`] is a cumulative counter or a point-in-time
+/// gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Cumulative since server start; exported as `prdnn_<name>_total`.
+    Counter,
+    /// A point-in-time value; exported under its bare `prdnn_<name>`.
+    Gauge,
+}
+
+/// One exported counter or gauge: `(name, help, kind, read)`, where `read`
+/// loads the current value from the state `S` that owns its atomic.
+pub type MetricRow<S> = (&'static str, &'static str, MetricKind, fn(&S) -> u64);
 
 /// Retained slow-request traces (older entries are evicted FIFO).
 const SLOW_LOG_CAP: usize = 64;
@@ -694,7 +707,7 @@ impl Telemetry {
     /// their upper bounds, plus the mandatory `+Inf`), keeping scrapes
     /// proportional to occupied resolution rather than 1056 lines per
     /// family.
-    pub fn render_histograms(&self, out: &mut String) {
+    fn render_histograms(&self, out: &mut String) {
         use std::fmt::Write;
         for (name, help, seconds, series) in self.families() {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -742,7 +755,7 @@ impl Telemetry {
     }
 
     /// Renders process-level info: build version and uptime.
-    pub fn render_process_metrics(&self, out: &mut String) {
+    fn render_process_metrics(&self, out: &mut String) {
         use std::fmt::Write;
         let _ = writeln!(
             out,
@@ -762,10 +775,22 @@ impl Telemetry {
         let _ = writeln!(out, "prdnn_uptime_seconds {}", self.uptime_seconds());
     }
 
-    /// The full `metrics` exposition: counters + gauges from `stats`,
-    /// histogram families, and process info.
-    pub fn render_prometheus(&self, stats: &ServerStats) -> String {
-        let mut out = stats.to_prometheus();
+    /// The full `metrics` exposition: one `# HELP` / `# TYPE` / sample
+    /// triple per row of `table` (all names prefixed `prdnn_`, counters
+    /// `_total`-suffixed) read from `source`, then the histogram families
+    /// and process info.
+    pub fn render_prometheus<S>(&self, table: &[MetricRow<S>], source: &S) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for &(name, help, kind, read) in table {
+            let (kind, suffix) = match kind {
+                MetricKind::Counter => ("counter", "_total"),
+                MetricKind::Gauge => ("gauge", ""),
+            };
+            let _ = writeln!(out, "# HELP prdnn_{name}{suffix} {help}");
+            let _ = writeln!(out, "# TYPE prdnn_{name}{suffix} {kind}");
+            let _ = writeln!(out, "prdnn_{name}{suffix} {}", read(source));
+        }
         self.render_histograms(&mut out);
         self.render_process_metrics(&mut out);
         out

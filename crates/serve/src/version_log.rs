@@ -351,7 +351,7 @@ impl std::fmt::Display for LogError {
 impl std::error::Error for LogError {}
 
 /// Durability / recovery counters a backend exposes (all zero for
-/// [`MemoryLog`]); surfaced through the `stats` request.
+/// [`MemoryLog`]); exported by the `metrics` endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogStats {
     /// Records appended (and fsynced) to the WAL.

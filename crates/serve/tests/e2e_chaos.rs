@@ -183,9 +183,14 @@ fn server_survives_aggressive_wire_chaos_and_stays_bit_identical() {
     };
 
     let mut closer = held.pop().unwrap();
-    let server_stats = closer.stats().unwrap();
-    assert_eq!(server_stats.open_connections, 8, "7 held + this client");
-    assert!(server_stats.conns_opened > 8, "{server_stats:?}");
+    let scrape = closer.scrape().unwrap();
+    assert_eq!(
+        scrape.counter("prdnn_open_connections"),
+        8,
+        "7 held + this client"
+    );
+    let opened = scrape.counter("prdnn_conns_opened_total");
+    assert!(opened > 8, "{opened} connections opened");
     closer.shutdown_server().unwrap();
     drop(held);
     handle.join().unwrap();
@@ -228,8 +233,8 @@ fn slowloris_connections_are_reaped_and_free_their_slots() {
         );
         std::thread::sleep(Duration::from_millis(50));
     };
-    let stats = a.stats().unwrap();
-    assert!(stats.io_timeouts >= 1, "reap not counted: {stats:?}");
+    let io_timeouts = a.scrape().unwrap().counter("prdnn_io_timeouts_total");
+    assert!(io_timeouts >= 1, "reap not counted: {io_timeouts}");
 
     a.shutdown_server().unwrap();
     handle.join().unwrap();
@@ -273,8 +278,8 @@ fn overload_rejections_carry_a_retry_after_hint() {
         retry_after.is_some_and(|ms| ms > 0),
         "overloaded rejection must carry retry_after_ms, got {retry_after:?}"
     );
-    let stats = held.stats().unwrap();
-    assert!(stats.conns_rejected >= 1, "{stats:?}");
+    let rejected = held.scrape().unwrap().counter("prdnn_conns_rejected_total");
+    assert!(rejected >= 1, "{rejected} connections rejected");
 
     held.shutdown_server().unwrap();
     handle.join().unwrap();
@@ -310,8 +315,8 @@ fn storage_faults_surface_unavailable_and_acked_versions_restart_exact() {
         let err = client.load_generator("n1", "n1").unwrap_err();
         assert_eq!(err.kind(), Some(ErrorKind::Unavailable), "{err}");
         assert_eq!(client.load_generator("n1", "n1").unwrap(), 1);
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.wal_failed_appends, 1);
+        let scrape = client.scrape().unwrap();
+        assert_eq!(scrape.counter("prdnn_wal_failed_appends_total"), 1);
         client.shutdown_server().unwrap();
         handle.join().unwrap();
     }
@@ -356,7 +361,8 @@ fn storage_faults_surface_unavailable_and_acked_versions_restart_exact() {
             panic!("retried repair must publish, got {state:?}")
         };
         assert_eq!(version, 3, "the failed publish's number is reused");
-        assert_eq!(client.stats().unwrap().wal_failed_appends, 1);
+        let scrape = client.scrape().unwrap();
+        assert_eq!(scrape.counter("prdnn_wal_failed_appends_total"), 1);
 
         let acked = client.list_models().unwrap();
         let network = client.get_network(&ModelRef::version("n1", 3)).unwrap();

@@ -405,10 +405,21 @@ fn graceful_restart_replays_snapshot_plus_wal_tail() {
             let state = client.wait_for_job(job, Duration::from_secs(60)).unwrap();
             assert!(matches!(state, JobState::Done { .. }), "repair {i} failed");
         }
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.wal_appends, 5, "2 loads + 3 repairs hit the WAL");
-        assert!(stats.snapshots >= 1, "snapshot threshold never crossed");
-        assert_eq!(stats.recovered_versions, 0, "first life recovered nothing");
+        let scrape = client.scrape().unwrap();
+        assert_eq!(
+            scrape.counter("prdnn_wal_appends_total"),
+            5,
+            "2 loads + 3 repairs hit the WAL"
+        );
+        assert!(
+            scrape.counter("prdnn_snapshots_total") >= 1,
+            "snapshot threshold never crossed"
+        );
+        assert_eq!(
+            scrape.counter("prdnn_recovered_versions_total"),
+            0,
+            "first life recovered nothing"
+        );
         for v in 1..=4u32 {
             acked.push(record_ack(&mut client, "n1", v));
         }
@@ -427,13 +438,21 @@ fn graceful_restart_replays_snapshot_plus_wal_tail() {
     .expect("bind second life");
     let mut client = Client::connect(handle.addr()).unwrap();
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.recovered_versions, 5, "4×n1 + 1×mlp recovered");
+    let scrape = client.scrape().unwrap();
+    assert_eq!(
+        scrape.counter("prdnn_recovered_versions_total"),
+        5,
+        "4×n1 + 1×mlp recovered"
+    );
     assert!(
-        stats.recovered_wal_records < 5,
+        scrape.counter("prdnn_recovered_wal_records_total") < 5,
         "a snapshot should have absorbed part of the log"
     );
-    assert_eq!(stats.torn_tail_bytes, 0, "graceful shutdown leaves no tear");
+    assert_eq!(
+        scrape.counter("prdnn_torn_tail_bytes_total"),
+        0,
+        "graceful shutdown leaves no tear"
+    );
 
     let mut models = client.list_models().unwrap();
     models.sort();

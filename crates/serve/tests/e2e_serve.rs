@@ -180,10 +180,15 @@ fn concurrent_clients_get_batched_bit_identical_evals() {
     // batcher, and the batch count never exceeds the request count (it is
     // lower whenever coalescing merged concurrent requests).
     let mut client = Client::connect(handle.addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.eval_requests, clients as u64);
-    assert_eq!(stats.eval_points, (clients * per_client) as u64);
-    assert!(stats.eval_batches >= 1 && stats.eval_batches <= stats.eval_requests);
+    let scrape = client.scrape().unwrap();
+    let eval_requests = scrape.counter("prdnn_eval_requests_total");
+    let eval_batches = scrape.counter("prdnn_eval_batches_total");
+    assert_eq!(eval_requests, clients as u64);
+    assert_eq!(
+        scrape.counter("prdnn_eval_points_total"),
+        (clients * per_client) as u64
+    );
+    assert!(eval_batches >= 1 && eval_batches <= eval_requests);
 
     client.shutdown_server().unwrap();
     handle.join().unwrap();
@@ -210,10 +215,13 @@ fn result_cache_hits_are_bit_identical_and_repairs_never_serve_stale() {
     for (x, y) in xs.iter().zip(&warm) {
         assert_eq!(y, &n1.forward(x));
     }
-    let stats = client.stats().unwrap();
-    assert!(stats.cache_inserts >= 1, "{stats:?}");
-    assert!(stats.cache_hits >= 1, "second eval should hit: {stats:?}");
-    assert!(stats.cache_bytes > 0, "{stats:?}");
+    let scrape = client.scrape().unwrap();
+    let inserts = scrape.counter("prdnn_cache_inserts_total");
+    let hits = scrape.counter("prdnn_cache_hits_total");
+    let bytes = scrape.counter("prdnn_cache_bytes");
+    assert!(inserts >= 1, "{inserts} inserts");
+    assert!(hits >= 1, "second eval should hit: {hits} hits");
+    assert!(bytes > 0, "{bytes} cache bytes");
 
     // Same for lin_regions.
     let segment = vec![vec![-1.0], vec![2.0]];
@@ -255,13 +263,13 @@ fn result_cache_hits_are_bit_identical_and_repairs_never_serve_stale() {
     }
     // Value-only repairs share the parent's lin_regions entries (Theorem
     // 4.6): the v2 request is a hit, and bit-identical to v1's regions.
-    let hits_before_lin = client.stats().unwrap().cache_hits;
+    let hits_before_lin = client.scrape().unwrap().counter("prdnn_cache_hits_total");
     let lin_v2 = client
         .lin_regions(&ModelRef::latest("n1"), vec![segment], None)
         .unwrap();
     assert_eq!(lin_v2, lin_cold);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_hits, hits_before_lin + 1, "{stats:?}");
+    let hits = client.scrape().unwrap().counter("prdnn_cache_hits_total");
+    assert_eq!(hits, hits_before_lin + 1);
 
     client.shutdown_server().unwrap();
     handle.join().unwrap();
@@ -278,120 +286,130 @@ fn metrics_endpoint_renders_well_formed_prometheus_text() {
         .unwrap();
     client.eval(&ModelRef::latest("n1"), xs, None).unwrap();
 
-    let stats = client.stats().unwrap();
-    let text = client.metrics().unwrap();
-    // Every line is a HELP comment, a TYPE comment, or a
-    // `prdnn_<name>[{labels}] <float>` sample; nothing else.  Counters
-    // carry the `_total` suffix, gauges are bare, histograms contribute
+    // Two scrapes, both linted by the one parser: every line is a HELP
+    // comment, a TYPE comment, or a `prdnn_<name>[{labels}] <float>`
+    // sample; every sample family has HELP and TYPE; counters carry the
+    // `_total` suffix, gauges are bare, histograms contribute
     // `_bucket`/`_sum`/`_count` series.
-    let mut samples = std::collections::HashMap::new();
-    let mut types = std::collections::HashMap::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# ") {
-            assert!(
-                rest.starts_with("HELP prdnn_") || rest.starts_with("TYPE prdnn_"),
-                "malformed comment line: {line:?}"
-            );
-            if let Some(typed) = rest.strip_prefix("TYPE ") {
-                let (name, ty) = typed.split_once(' ').expect("TYPE line");
-                assert!(
-                    matches!(ty, "counter" | "gauge" | "histogram"),
-                    "unknown metric type in {line:?}"
-                );
-                types.insert(name.to_owned(), ty.to_owned());
-            }
-            continue;
-        }
-        let (name, value) = line.split_once(' ').expect("sample line");
-        assert!(name.starts_with("prdnn_"), "unprefixed metric {line:?}");
-        let value: f64 = value.parse().unwrap_or_else(|_| {
-            panic!("unparseable sample in {line:?}");
-        });
-        assert!(value.is_finite(), "non-finite sample in {line:?}");
-        samples.insert(name.to_owned(), value);
+    let first = client.scrape().unwrap();
+    let scrape = client.scrape().unwrap();
+    // Counters that cannot move between the two reads agree, and count
+    // exactly the two evals.
+    for name in [
+        "prdnn_eval_requests_total",
+        "prdnn_eval_points_total",
+        "prdnn_cache_hits_total",
+        "prdnn_cache_misses_total",
+    ] {
+        assert_eq!(scrape.counter(name), first.counter(name), "{name} moved");
     }
-    // Every family named by a sample has a TYPE (strip labels, then the
-    // histogram series suffixes).
-    for name in samples.keys() {
-        let base = name.split('{').next().unwrap();
-        let family = ["_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|s| base.strip_suffix(s))
-            .unwrap_or(base);
-        assert!(
-            types.contains_key(family) || types.contains_key(base),
-            "sample {name:?} has no TYPE line"
-        );
-    }
-    // The endpoint reports the same numbers as the stats request (counters
-    // that cannot move between the two reads), `_total`-suffixed.
-    assert_eq!(
-        samples["prdnn_eval_requests_total"] as u64,
-        stats.eval_requests
-    );
-    assert_eq!(samples["prdnn_eval_points_total"] as u64, stats.eval_points);
-    assert_eq!(samples["prdnn_cache_hits_total"] as u64, stats.cache_hits);
-    assert_eq!(
-        samples["prdnn_cache_misses_total"] as u64,
-        stats.cache_misses
-    );
+    assert_eq!(scrape.counter("prdnn_eval_requests_total"), 2);
     assert!(
-        samples["prdnn_cache_hits_total"] >= 1.0,
+        scrape.counter("prdnn_cache_hits_total") >= 1,
         "warm eval should hit"
     );
-    assert!(samples.contains_key("prdnn_lp_pivots_total"));
-    assert!(samples.contains_key("prdnn_deadline_expired_total"));
-    assert!(samples.contains_key("prdnn_lin_rescue_calls_total"));
+    assert!(scrape.get("prdnn_lp_pivots_total").is_some());
+    assert!(scrape.get("prdnn_deadline_expired_total").is_some());
+    assert!(scrape.get("prdnn_lin_rescue_calls_total").is_some());
     // Point-in-time values export as bare-named gauges.
-    assert_eq!(types["prdnn_open_connections"], "gauge");
-    assert_eq!(types["prdnn_cache_bytes"], "gauge");
-    assert_eq!(types["prdnn_cache_entries"], "gauge");
-    assert_eq!(types["prdnn_repair_queue_depth"], "gauge");
-    assert_eq!(types["prdnn_repair_in_flight"], "gauge");
-    assert_eq!(samples["prdnn_open_connections"] as u64, 1);
-    // Histogram families: at least the six stage boundaries, each with a
-    // complete `+Inf` bucket / sum / count triple.
-    let histograms: Vec<_> = types
+    let kinds: std::collections::BTreeMap<_, _> = scrape.families().collect();
+    for gauge in [
+        "prdnn_open_connections",
+        "prdnn_cache_bytes",
+        "prdnn_cache_entries",
+        "prdnn_repair_queue_depth",
+        "prdnn_repair_in_flight",
+    ] {
+        assert_eq!(kinds[gauge], "gauge", "{gauge}");
+    }
+    assert_eq!(scrape.counter("prdnn_open_connections"), 1);
+    // Histogram families: at least the six stage boundaries.  The parse
+    // has already required each to export a series whose `+Inf` bucket
+    // equals its `_count`, next to a `_sum`.
+    let histograms: Vec<_> = kinds
         .iter()
-        .filter(|(_, ty)| ty.as_str() == "histogram")
-        .map(|(name, _)| name.clone())
+        .filter(|(_, kind)| **kind == "histogram")
+        .map(|(name, _)| *name)
         .collect();
     assert!(histograms.len() >= 6, "only {histograms:?}");
-    for family in &histograms {
-        assert!(
-            samples
-                .keys()
-                .any(|k| k.starts_with(&format!("{family}_bucket")) && k.contains("le=\"+Inf\"")),
-            "{family} has no +Inf bucket"
-        );
-        assert!(
-            samples
-                .keys()
-                .any(|k| k.starts_with(&format!("{family}_sum"))),
-            "{family} has no _sum"
-        );
-        assert!(
-            samples
-                .keys()
-                .any(|k| k.starts_with(&format!("{family}_count"))),
-            "{family} has no _count"
-        );
-    }
     // The e2e histogram count matches the request counter exactly: both
     // tick once per accepted eval.
     assert_eq!(
-        samples["prdnn_request_seconds_count{kind=\"eval\"}"] as u64,
-        stats.eval_requests
+        scrape.histogram_count("prdnn_request_seconds", "kind=\"eval\""),
+        scrape.counter("prdnn_eval_requests_total")
     );
     // Process info: a version-labeled constant and an uptime gauge.
-    assert!(
-        samples
-            .keys()
-            .any(|k| k.starts_with("prdnn_build_info{version=")),
-        "missing build info"
-    );
-    assert!(samples["prdnn_uptime_seconds"] >= 0.0);
+    assert!(scrape.build_version().is_some(), "missing build info");
+    assert!(scrape.value("prdnn_uptime_seconds") >= 0.0);
 
+    client.shutdown_server().unwrap();
+    handle.join().unwrap();
+}
+
+/// `(name, TYPE)` of every family the `metrics` endpoint exports, sorted
+/// by name: the 38 counters and gauges, the histogram families, build
+/// info and uptime.  `perfbench` and `servebench` read these names, so a
+/// rename must fail here.
+const PINNED_FAMILIES: [(&str, &str); 48] = [
+    ("prdnn_batch_exec_seconds", "histogram"),
+    ("prdnn_batch_queue_wait_seconds", "histogram"),
+    ("prdnn_batch_shed_total", "counter"),
+    ("prdnn_build_info", "gauge"),
+    ("prdnn_cache_bytes", "gauge"),
+    ("prdnn_cache_entries", "gauge"),
+    ("prdnn_cache_evictions_total", "counter"),
+    ("prdnn_cache_fill_skips_total", "counter"),
+    ("prdnn_cache_hits_total", "counter"),
+    ("prdnn_cache_inserts_total", "counter"),
+    ("prdnn_cache_misses_total", "counter"),
+    ("prdnn_cache_service_seconds", "histogram"),
+    ("prdnn_conns_opened_total", "counter"),
+    ("prdnn_conns_rejected_total", "counter"),
+    ("prdnn_deadline_expired_total", "counter"),
+    ("prdnn_eval_batches_total", "counter"),
+    ("prdnn_eval_points_total", "counter"),
+    ("prdnn_eval_requests_total", "counter"),
+    ("prdnn_gulp_items_total", "counter"),
+    ("prdnn_gulp_size", "histogram"),
+    ("prdnn_gulps_total", "counter"),
+    ("prdnn_io_timeouts_total", "counter"),
+    ("prdnn_job_queue_wait_seconds", "histogram"),
+    ("prdnn_jobs_completed_total", "counter"),
+    ("prdnn_jobs_failed_total", "counter"),
+    ("prdnn_jobs_shed_total", "counter"),
+    ("prdnn_jobs_submitted_total", "counter"),
+    ("prdnn_lin_batches_total", "counter"),
+    ("prdnn_lin_polytopes_total", "counter"),
+    ("prdnn_lin_requests_total", "counter"),
+    ("prdnn_lin_rescue_calls_total", "counter"),
+    ("prdnn_lp_pivots_total", "counter"),
+    ("prdnn_lp_refactorizations_total", "counter"),
+    ("prdnn_lp_solve_seconds", "histogram"),
+    ("prdnn_max_gulp_total", "counter"),
+    ("prdnn_open_connections", "gauge"),
+    ("prdnn_recovered_versions_total", "counter"),
+    ("prdnn_recovered_wal_records_total", "counter"),
+    ("prdnn_repair_in_flight", "gauge"),
+    ("prdnn_repair_queue_depth", "gauge"),
+    ("prdnn_request_seconds", "histogram"),
+    ("prdnn_snapshots_total", "counter"),
+    ("prdnn_torn_tail_bytes_total", "counter"),
+    ("prdnn_uptime_seconds", "gauge"),
+    ("prdnn_wal_appends_total", "counter"),
+    ("prdnn_wal_bytes_total", "counter"),
+    ("prdnn_wal_failed_appends_total", "counter"),
+    ("prdnn_wal_fsync_seconds", "histogram"),
+];
+
+#[test]
+fn metric_names_and_types_are_pinned() {
+    let handle = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    // The parse itself requires HELP and TYPE on every sample family and
+    // the `_total` suffix on every counter.
+    let scrape = client.scrape().unwrap();
+    let families: Vec<_> = scrape.families().collect();
+    assert_eq!(families, PINNED_FAMILIES);
     client.shutdown_server().unwrap();
     handle.join().unwrap();
 }
@@ -497,6 +515,27 @@ fn typed_errors_and_protocol_abuse_over_real_sockets() {
         }
     ));
     drop(garbler);
+
+    // The retired `stats` request is now an unknown type: a typed
+    // bad_request, and the connection stays usable.
+    let mut legacy = TcpStream::connect(handle.addr()).unwrap();
+    let body = br#"{"type":"stats"}"#;
+    legacy
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .unwrap();
+    legacy.write_all(body).unwrap();
+    let value = read_frame(&mut legacy).expect("error frame");
+    assert!(matches!(
+        Response::from_value(&value).unwrap(),
+        Response::Error {
+            kind: ErrorKind::BadRequest,
+            ..
+        }
+    ));
+    write_frame(&mut legacy, &Request::Ping.to_value()).unwrap();
+    let value = read_frame(&mut legacy).expect("pong frame");
+    assert_eq!(Response::from_value(&value), Ok(Response::Pong));
+    drop(legacy);
 
     client.shutdown_server().unwrap();
     handle.join().unwrap();

@@ -6,7 +6,7 @@ use prdnn_core::{LpBackend, OutputPolytope, PointSpec, PricingRule, RepairConfig
 use prdnn_linalg::Matrix;
 use prdnn_serve::protocol::{
     read_frame, write_frame, ErrorKind, FrameError, JobState, ModelRef, RegionWire, Request,
-    Response, ServerStats, VersionInfo, MAX_FRAME_LEN,
+    Response, VersionInfo, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
@@ -130,7 +130,7 @@ fn request() -> impl Strategy<Value = Request> {
         model_ref().prop_map(|model| Request::GetNetwork { model }),
         Just(Request::ListModels),
         name().prop_map(|n| Request::ListVersions { name: n }),
-        Just(Request::Stats),
+        Just(Request::Metrics),
         Just(Request::Shutdown),
     ]
 }
@@ -240,46 +240,7 @@ fn response() -> impl Strategy<Value = Response> {
         job,
         (name(), 1u32..9).prop_map(|(n, v)| Response::Models(vec![(n, v)])),
         versions,
-        (0u64..100, 0u64..100).prop_map(|(a, b)| Response::Stats(ServerStats {
-            eval_requests: a,
-            eval_batches: b,
-            eval_points: a * 3,
-            lin_requests: b,
-            lin_batches: a.min(b),
-            lin_polytopes: a + b,
-            gulps: a.max(b),
-            gulp_items: a + 2 * b,
-            max_gulp: b + 1,
-            jobs_submitted: a / 2,
-            jobs_completed: a / 3,
-            jobs_failed: a / 7,
-            repair_queue_depth: b % 5,
-            repair_in_flight: a % 3,
-            wal_appends: a + b,
-            wal_bytes: a * 1000 + b,
-            snapshots: b / 5,
-            recovered_versions: a / 4,
-            recovered_wal_records: a / 8,
-            torn_tail_bytes: b * 13,
-            wal_failed_appends: a / 9,
-            conns_opened: a + 5 * b,
-            conns_rejected: b / 3,
-            open_connections: a.min(7),
-            io_timeouts: b / 11,
-            batch_shed: a / 6,
-            jobs_shed: b / 7,
-            cache_hits: a * 2,
-            cache_misses: b * 2,
-            cache_inserts: a + 1,
-            cache_evictions: b / 2,
-            cache_fill_skips: a / 5,
-            cache_bytes: a * 100 + b,
-            cache_entries: a % 50,
-            deadline_expired: b / 4,
-            lin_rescue_calls: a / 10,
-            lp_pivots: a * 19,
-            lp_refactorizations: b / 6,
-        })),
+        name().prop_map(|text| Response::Metrics { text }),
         network,
         Just(Response::ShuttingDown),
         error,
